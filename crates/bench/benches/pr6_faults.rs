@@ -20,6 +20,7 @@
 use deco_bench::json::{Obj, Value};
 use deco_bench::{banner, millis, scale, time_interleaved, Scale, Table};
 use deco_core::edge::legal::{edge_log_depth, MessageMode};
+use deco_probe::Fnv;
 use deco_stream::{FaultyTransport, RecolorConfig, Recolorer, RepairStrategy, Transport};
 use std::sync::Arc;
 use std::time::Duration;
@@ -59,14 +60,11 @@ impl Cell {
 }
 
 fn fnv_hex(values: &[u64]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv::with_prime(0x1000_0000_01b3);
     for &x in values {
-        for b in x.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
+        h.word(x);
     }
-    format!("{h:016x}")
+    format!("{:016x}", h.digest())
 }
 
 /// One full drive of a cell: initial build plus `epochs` flap epochs

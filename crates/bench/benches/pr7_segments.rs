@@ -28,65 +28,28 @@ use deco_bench::{banner, millis, scale, Scale, Table};
 use deco_core::edge::legal::{edge_log_depth, MessageMode};
 use deco_graph::trace::{churn_trace_from, power_law_churn_trace, Trace, TraceOp};
 use deco_graph::{generators, MutableGraph, SegmentedGraph};
-use deco_stream::{queue_op, Recolorer, SegRecolorer};
+use deco_probe::Fnv;
+use deco_stream::{queue_op, Recolorer, RegionRecolor, SegRecolorer};
 use std::time::{Duration, Instant};
 
 /// FNV-1a over one commit's colors (the stream_churn pin's hash function).
 fn color_hash(colors: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    };
-    mix(colors.len() as u64);
+    let mut h = Fnv::with_prime(0x1000_0000_01b3);
+    h.word(colors.len() as u64);
     for &c in colors {
-        mix(c);
+        h.word(c);
     }
-    h
+    h.digest()
 }
 
-/// Queues one trace op on the segmented engine.
-fn queue_seg(r: &mut SegRecolorer, op: TraceOp) {
-    match op {
-        TraceOp::Insert(u, v) => r.insert_edge(u, v).expect("valid trace"),
-        TraceOp::Delete(u, v) => r.delete_edge(u, v).expect("valid trace"),
-        TraceOp::AddVertices(k) => {
-            for _ in 0..k {
-                r.add_vertex();
-            }
-        }
-        TraceOp::SetIdent(v, ident) => r.set_ident(v, ident).expect("valid trace"),
-        TraceOp::Shrink => r.shrink_isolated(),
-        TraceOp::Commit => {}
-    }
-}
-
-/// Median legacy commit() wall time (clone + queueing untimed).
-fn time_legacy(base: &Recolorer, ops: &[TraceOp], samples: usize) -> Duration {
+/// Median commit() wall time over `samples` runs from `base`'s state
+/// (clone + queueing untimed).
+fn time_commit<E: RegionRecolor + Clone>(base: &E, ops: &[TraceOp], samples: usize) -> Duration {
     let mut times = Vec::with_capacity(samples);
     for _ in 0..=samples {
         let mut r = base.clone();
         for &op in ops {
             queue_op(&mut r, op).expect("valid trace");
-        }
-        let t0 = Instant::now();
-        r.commit().expect("valid trace");
-        times.push(t0.elapsed());
-    }
-    times.remove(0); // warm-up
-    times.sort_unstable();
-    times[times.len() / 2]
-}
-
-/// Median segmented commit() wall time (clone + queueing untimed).
-fn time_seg(base: &SegRecolorer, ops: &[TraceOp], samples: usize) -> Duration {
-    let mut times = Vec::with_capacity(samples);
-    for _ in 0..=samples {
-        let mut r = base.clone();
-        for &op in ops {
-            queue_seg(&mut r, op);
         }
         let t0 = Instant::now();
         r.commit().expect("valid trace");
@@ -144,13 +107,13 @@ fn run_pair(scenario: &'static str, trace: &Trace, samples: usize, rows: &mut Ve
     let mut seg = SegRecolorer::new(trace.n0, params, mode).expect("preset params");
     for (c, batch) in trace.batches().into_iter().enumerate() {
         let (seg_t, legacy_t) = if c > 0 {
-            (time_seg(&seg, batch, samples), time_legacy(&legacy, batch, samples))
+            (time_commit(&seg, batch, samples), time_commit(&legacy, batch, samples))
         } else {
             (Duration::ZERO, Duration::ZERO) // build commit: not timed
         };
         for &op in batch {
             queue_op(&mut legacy, op).expect("valid trace");
-            queue_seg(&mut seg, op);
+            queue_op(&mut seg, op).expect("valid trace");
         }
         let a = legacy.commit().expect("valid trace");
         let b = seg.commit().expect("valid trace");

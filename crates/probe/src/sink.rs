@@ -6,7 +6,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::event::Event;
-use crate::fnv1a64;
+use crate::Fnv;
 
 /// A structured event sink.
 ///
@@ -119,17 +119,12 @@ impl Probe for RecordingProbe {
 /// [`RecordingProbe::digest`] (deterministic events only, JSONL lines
 /// separated by `\n`).
 pub fn digest_events(events: &[Event]) -> u64 {
-    let mut h = fnv1a64(b"");
+    let mut f = Fnv::new();
     for ev in events.iter().filter(|e| e.is_deterministic()) {
-        let line = ev.to_jsonl();
-        for &b in line.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= u64::from(b'\n');
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        f.bytes(ev.to_jsonl().as_bytes());
+        f.bytes(b"\n");
     }
-    h
+    f.digest()
 }
 
 /// A file sink: one JSON object per line, in emission order, including

@@ -53,7 +53,7 @@ pub mod snapshot;
 mod tenant;
 
 pub use service::{Serve, ServeConfig, ServeError, TenantId};
-pub use tenant::{reports_fingerprint, EngineKind, Fnv, TenantError, TenantSnapshot, TenantSpec};
+pub use tenant::{reports_fingerprint, EngineKind, TenantError, TenantSnapshot, TenantSpec};
 
 #[cfg(test)]
 mod tests {
@@ -236,7 +236,7 @@ mod tests {
             assert!(serve.errors(id).unwrap().is_empty(), "tenant {id}");
         }
         let fp = serve.fleet_fingerprint();
-        assert_ne!(fp, Fnv::new().digest());
+        assert_ne!(fp, deco_probe::Fnv::new().digest());
         serve.shutdown();
     }
 }

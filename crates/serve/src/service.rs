@@ -36,11 +36,12 @@
 
 use crate::snapshot::Swap;
 use crate::tenant::{
-    reports_fingerprint, EngineKind, Exec, Fnv, Inbox, Tenant, TenantError, TenantMsg,
-    TenantSnapshot, TenantSpec,
+    reports_fingerprint, EngineKind, Exec, Inbox, Tenant, TenantError, TenantMsg, TenantSnapshot,
+    TenantSpec,
 };
 use deco_core::params::ParamError;
 use deco_graph::trace::TraceOp;
+use deco_probe::Fnv;
 use deco_stream::{CommitReport, Recolorer, RegionRecolor, SegRecolorer};
 use std::collections::VecDeque;
 use std::error::Error;
@@ -186,6 +187,19 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(cfg: ServeConfig) -> Shared {
+        Shared {
+            queues: (0..cfg.shards).map(|_| Mutex::new(VecDeque::new())).collect(),
+            cfg,
+            tenants: RwLock::new(Vec::new()),
+            work: Mutex::new(0),
+            work_cv: Condvar::new(),
+            inflight: Mutex::new(0),
+            quiet: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+        }
+    }
+
     fn tenant(&self, id: TenantId) -> Result<Arc<Tenant>, ServeError> {
         self.tenants
             .read()
@@ -342,8 +356,36 @@ impl Shared {
         }));
     }
 
+    /// The wake version: bumped by every enqueue.
+    fn work_version(&self) -> u64 {
+        // INVARIANT: a poisoned lock means another thread panicked while holding it; propagating that panic is the intended failure mode.
+        *self.work.lock().expect("work version poisoned")
+    }
+
+    /// Parks until the wake version moves past `seen` (or shutdown
+    /// begins); returns whether the wait ran out its timeout instead. An
+    /// enqueue bumps the version under the same mutex the wait checks it
+    /// under, so a bump since `seen` ends the wait at once. The timeout is
+    /// a belt-and-braces liveness floor, not a correctness crutch.
+    fn wait_for_work(&self, seen: u64) -> bool {
+        // INVARIANT: a poisoned lock means another thread panicked while holding it; propagating that panic is the intended failure mode.
+        let version = self.work.lock().expect("work version poisoned");
+        self.work_cv
+            .wait_timeout_while(version, Duration::from_millis(50), |v| {
+                *v == seen && !self.shutdown.load(Ordering::SeqCst)
+            })
+            // INVARIANT: a poisoned lock means another thread panicked while holding it; propagating that panic is the intended failure mode.
+            .expect("work version poisoned")
+            .1
+            .timed_out()
+    }
+
     fn worker(&self, home: usize) {
         loop {
+            // Read the version *before* scanning: a claim enqueued after
+            // the scan has then bumped it past `seen`, and the wait below
+            // returns at once instead of sleeping out its timeout.
+            let seen = self.work_version();
             if let Some(id) = self.next_claim(home) {
                 self.drain_tenant(id);
                 continue;
@@ -354,20 +396,7 @@ impl Shared {
                 // its own empty scan, and `shutdown` runs post-drain.
                 return;
             }
-            // INVARIANT: a poisoned lock means another thread panicked while holding it; propagating that panic is the intended failure mode.
-            let version = self.work.lock().expect("work version poisoned");
-            let seen = *version;
-            // Re-check under the lock: an enqueue bumps the version under
-            // this same mutex, so either we see the bump or the wait
-            // starts before the notify and catches it. The timeout is a
-            // belt-and-braces liveness floor, not a correctness crutch.
-            let _ = self
-                .work_cv
-                .wait_timeout_while(version, Duration::from_millis(50), |v| {
-                    *v == seen && !self.shutdown.load(Ordering::SeqCst)
-                })
-                // INVARIANT: a poisoned lock means another thread panicked while holding it; propagating that panic is the intended failure mode.
-                .expect("work version poisoned");
+            self.wait_for_work(seen);
         }
     }
 }
@@ -384,16 +413,7 @@ pub struct Serve {
 impl Serve {
     /// Starts the worker pool (one thread per shard).
     pub fn start(cfg: ServeConfig) -> Serve {
-        let shared = Arc::new(Shared {
-            queues: (0..cfg.shards).map(|_| Mutex::new(VecDeque::new())).collect(),
-            cfg,
-            tenants: RwLock::new(Vec::new()),
-            work: Mutex::new(0),
-            work_cv: Condvar::new(),
-            inflight: Mutex::new(0),
-            quiet: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-        });
+        let shared = Arc::new(Shared::new(cfg));
         let workers = (0..shared.cfg.shards)
             .map(|home| {
                 let shared = Arc::clone(&shared);
@@ -695,5 +715,22 @@ impl fmt::Debug for Serve {
             .field("cfg", &self.shared.cfg)
             .field("tenants", &self.tenant_count())
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_claim_enqueued_after_an_empty_scan_ends_the_wait() {
+        // One worker's steps by hand on one shard: version read, empty
+        // scan, then a submission lands before the worker parks.
+        let shared = Shared::new(ServeConfig::default().with_shards(1));
+        let seen = shared.work_version();
+        assert_eq!(shared.next_claim(0), None);
+        shared.enqueue_claim(0, 0);
+        assert!(!shared.wait_for_work(seen), "the wait must end on the version bump");
+        assert_eq!(shared.next_claim(0), Some(0));
     }
 }

@@ -7,6 +7,7 @@ use deco_core::params::LegalParams;
 use deco_graph::coloring::EdgeColoring;
 use deco_graph::trace::TraceOp;
 use deco_graph::Graph;
+use deco_probe::Fnv;
 use deco_stream::{CommitReport, RecolorConfig, RegionRecolor, RepairStrategy};
 use std::collections::VecDeque;
 use std::sync::atomic::AtomicU64;
@@ -206,32 +207,6 @@ pub(crate) struct Tenant {
     /// Total committed `node_rounds` — the admission currency, readable
     /// without any lock.
     pub(crate) cost: AtomicU64,
-}
-
-/// 64-bit FNV-1a over a word stream; the workspace's standing fingerprint
-/// idiom for gate counters.
-#[derive(Debug, Clone)]
-pub struct Fnv(u64);
-
-impl Fnv {
-    /// The empty fingerprint.
-    #[allow(clippy::new_without_default)]
-    pub fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Absorbs one word, byte by byte.
-    pub fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// The digest so far.
-    pub fn digest(&self) -> u64 {
-        self.0
-    }
 }
 
 /// FNV-1a fingerprint of a commit-report transcript: every deterministic

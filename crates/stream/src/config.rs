@@ -1,22 +1,13 @@
 //! Per-instance engine configuration.
 //!
-//! [`RecolorConfig`] gathers every knob the two recoloring engines accept —
+//! [`RecolorConfig`] gathers every knob the recoloring engine accepts —
 //! repair threshold, compaction cadence, early halting, transport, retry
 //! budget, probe, and the simulator's thread/delivery settings — into one
-//! value owned by the engine instance. Historically each knob was a
-//! hand-duplicated `with_*` builder on both [`Recolorer`] and
-//! [`SegRecolorer`], and the thread/delivery pair was process-global (the
-//! `DECO_THREADS` / `DECO_DELIVERY` environment read, frozen at first
-//! use). Neither shape works for a fleet of heterogeneous tenants in one
-//! process — `deco-serve` registers thousands of engines, each with its
-//! own config — so the knobs now travel with the instance and the env read
-//! is merely the *default* for the unset fields.
-//!
-//! The old builders survive one PR as deprecated forwarding shims; see the
-//! README migration note.
-//!
-//! [`Recolorer`]: crate::Recolorer
-//! [`SegRecolorer`]: crate::SegRecolorer
+//! value owned by the engine instance. The thread/delivery pair is not
+//! process-global: `deco-serve` registers thousands of engines in one
+//! process, each with its own config, so the `DECO_THREADS` /
+//! `DECO_DELIVERY` environment read is merely the *default* for the unset
+//! fields.
 
 use deco_local::{Delivery, InProcess, Transport};
 use deco_probe::Probe;
@@ -24,8 +15,8 @@ use std::sync::Arc;
 
 /// Every per-instance knob of a recoloring engine, with the workspace-wide
 /// defaults. Construct with [`RecolorConfig::default`], refine with the
-/// builder methods, hand to [`Recolorer::new_with`] /
-/// [`SegRecolorer::new_with`] (or their `from_graph_with` variants).
+/// builder methods, hand to [`RecolorEngine::new_with`] (or
+/// [`RecolorEngine::from_graph_with`]).
 ///
 /// None of the fields participate in the determinism contract except
 /// through their documented semantics: colorings and [`CommitReport`]s are
@@ -33,8 +24,8 @@ use std::sync::Arc;
 /// while `threshold_pct`, `compaction_every`, `transport` and
 /// `max_attempts` legitimately select *which* deterministic outcome runs.
 ///
-/// [`Recolorer::new_with`]: crate::Recolorer::new_with
-/// [`SegRecolorer::new_with`]: crate::SegRecolorer::new_with
+/// [`RecolorEngine::new_with`]: crate::RecolorEngine::new_with
+/// [`RecolorEngine::from_graph_with`]: crate::RecolorEngine::from_graph_with
 /// [`CommitReport`]: crate::CommitReport
 #[derive(Debug, Clone)]
 pub struct RecolorConfig {
@@ -43,10 +34,6 @@ pub struct RecolorConfig {
     pub(crate) threshold_pct: u32,
     /// Force a from-scratch recolor every `k`-th commit (0 = never).
     pub(crate) compaction_every: usize,
-    /// Differential oracle: commit via the pre-delta-CSR rebuild path.
-    /// Only meaningful on [`Recolorer`](crate::Recolorer); the segmented
-    /// engine has no rebuild path and ignores it.
-    pub(crate) rebuild_commits: bool,
     /// Early node halting in the repair pipelines (default on).
     pub(crate) early_halt: bool,
     /// Transport under the incremental repair sub-networks.
@@ -69,7 +56,6 @@ impl Default for RecolorConfig {
         RecolorConfig {
             threshold_pct: 25,
             compaction_every: 0,
-            rebuild_commits: false,
             early_halt: true,
             transport: Arc::new(InProcess),
             max_attempts: 5,
@@ -106,18 +92,6 @@ impl RecolorConfig {
         self
     }
 
-    /// Selects the pre-delta-CSR commit path (default `false`): snapshots
-    /// rebuilt by `Graph::from_edges`, colors carried by an `O(m)`
-    /// endpoint-pair merge, dirty edges found by full sweeps. Outcomes are
-    /// bit-identical to the default path; only wall-clock differs. This is
-    /// the differential oracle the delta-CSR benches and tests compare
-    /// against. Ignored by [`SegRecolorer`](crate::SegRecolorer), which
-    /// has no rebuild commit path.
-    pub fn with_rebuild_commits(mut self, on: bool) -> RecolorConfig {
-        self.rebuild_commits = on;
-        self
-    }
-
     /// Enables or disables early node halting inside the repair pipelines
     /// (default on; see [`deco_local::Network::with_early_halt`]).
     /// Colorings and reports are bit-identical either way apart from round
@@ -131,7 +105,7 @@ impl RecolorConfig {
     /// (default: the perfect in-process transport). Any non-perfect
     /// transport switches incremental repairs to the loss-tolerant
     /// self-stabilizing path; from-scratch recolors always run in-process.
-    /// See the [`recolor`](crate::Recolorer) module docs.
+    /// See the [`RecolorEngine`](crate::RecolorEngine) module docs.
     pub fn with_transport(mut self, transport: Arc<dyn Transport>) -> RecolorConfig {
         self.transport = transport;
         self
@@ -182,11 +156,6 @@ impl RecolorConfig {
     /// The scheduled compaction cadence (0 = never).
     pub fn compaction_every(&self) -> usize {
         self.compaction_every
-    }
-
-    /// Whether the differential rebuild-commit oracle path is selected.
-    pub fn rebuild_commits(&self) -> bool {
-        self.rebuild_commits
     }
 
     /// Whether early node halting is enabled.

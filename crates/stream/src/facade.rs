@@ -2,15 +2,16 @@
 //!
 //! [`RegionRecolor`] is the one surface the replay machinery, the
 //! `deco-stream` CLI, the benches and the `deco-serve` multi-tenant
-//! service drive a recoloring engine through. Both engines implement it —
-//! [`Recolorer`] (delta-CSR commits, lexicographic edge indices) and
-//! [`SegRecolorer`] (segmented commits, stable edge ids) — so callers pick
-//! a representation at construction time and stay representation-agnostic
-//! afterwards, and future strategies (the Fuchs–Kuhn (Δ+1) line of work)
-//! can slot in behind the same trait.
+//! service drive a recoloring engine through. [`RecolorEngine`] implements
+//! it over any [`Store`] — [`Recolorer`](crate::Recolorer) (delta-CSR
+//! commits, lexicographic edge indices) and
+//! [`SegRecolorer`](crate::SegRecolorer) (segmented commits, stable edge
+//! ids) — so callers pick a representation at construction time and stay
+//! representation-agnostic afterwards, and future strategies (the
+//! Fuchs–Kuhn (Δ+1) line of work) can slot in behind the same trait.
 
-use crate::recolor::{CommitReport, Recolorer};
-use crate::seg_recolor::SegRecolorer;
+use crate::host::Store;
+use crate::recolor::{CommitReport, RecolorEngine};
 use deco_graph::coloring::EdgeColoring;
 use deco_graph::trace::TraceOp;
 use deco_graph::{Graph, GraphError};
@@ -31,12 +32,13 @@ use std::sync::Arc;
 /// [`request_compaction`](RegionRecolor::request_compaction) calls
 /// produces **bit-identical** [`CommitReport`]s, colorings and snapshots —
 /// at any thread count, any delivery mode, and regardless of what else
-/// runs in the process. Across the two shipped engines the contract is
-/// the parity contract of the `seg_recolor` module: identical reports up
-/// to `stats.commit_bytes` (the quantity the segmented path improves) and
-/// identical [`coloring`](RegionRecolor::coloring) on a perfect
-/// transport; identical colorings with possibly differing message-bit
-/// counters on a faulty one. Wall time is, obviously, excluded.
+/// runs in the process. Across the two shipped stores the contract is
+/// the parity contract of the [`RecolorEngine`] module docs: identical
+/// reports up to `stats.commit_bytes` (the quantity the segmented store
+/// improves) and identical [`coloring`](RegionRecolor::coloring) on a
+/// perfect transport; identical colorings with possibly differing
+/// message-bit counters on a faulty one. Wall time is, obviously,
+/// excluded.
 ///
 /// `deco-serve` leans on this contract for its own: per-tenant results
 /// are independent of how tenants are sharded across worker threads,
@@ -63,8 +65,8 @@ pub trait RegionRecolor {
     fn commits(&self) -> usize;
 
     /// The current committed snapshot, materialized in lexicographic edge
-    /// order (both engines agree bit for bit; for the segmented engine
-    /// this clones through `SegmentedGraph::to_graph`).
+    /// order (both stores agree bit for bit; for the segmented store this
+    /// clones through `SegmentedGraph::to_graph`).
     fn snapshot(&self) -> Graph;
 
     /// The current coloring in lexicographic edge order — index `i`
@@ -106,88 +108,74 @@ pub trait RegionRecolor {
     fn probe(&self) -> &Arc<dyn Probe>;
 }
 
-/// Shared `verify` body: both engines expose a lexicographic snapshot and
-/// coloring, so the check is representation-agnostic.
-fn verify_lex(engine: &(impl RegionRecolor + ?Sized)) -> Result<(), String> {
-    let g = engine.snapshot();
-    let coloring = engine.coloring();
-    if coloring.colors().len() != g.m() {
-        return Err(format!(
-            "coloring covers {} edges, snapshot has {}",
-            coloring.colors().len(),
-            g.m()
-        ));
-    }
-    if !coloring.is_proper(&g) {
-        return Err("coloring is not proper on the committed snapshot".to_string());
-    }
-    let bound = engine.color_bound();
-    if let Some(&worst) = coloring.colors().iter().max() {
-        if worst >= bound {
-            return Err(format!("color {worst} breaches the palette bound {bound}"));
-        }
-    }
-    Ok(())
-}
-
-macro_rules! impl_region_recolor {
-    ($engine:ty, $snapshot:expr) => {
-        impl RegionRecolor for $engine {
-            fn queue_op(&mut self, op: TraceOp) -> Result<(), GraphError> {
-                match op {
-                    TraceOp::Insert(u, v) => self.insert_edge(u, v),
-                    TraceOp::Delete(u, v) => self.delete_edge(u, v),
-                    TraceOp::AddVertices(k) => {
-                        for _ in 0..k {
-                            self.add_vertex();
-                        }
-                        Ok(())
-                    }
-                    TraceOp::SetIdent(v, ident) => self.set_ident(v, ident),
-                    TraceOp::Shrink => {
-                        self.shrink_isolated();
-                        Ok(())
-                    }
-                    // `Trace::batches()` strips these; tolerate anyway.
-                    TraceOp::Commit => Ok(()),
+impl<S: Store> RegionRecolor for RecolorEngine<S> {
+    fn queue_op(&mut self, op: TraceOp) -> Result<(), GraphError> {
+        match op {
+            TraceOp::Insert(u, v) => self.insert_edge(u, v),
+            TraceOp::Delete(u, v) => self.delete_edge(u, v),
+            TraceOp::AddVertices(k) => {
+                for _ in 0..k {
+                    self.add_vertex();
                 }
+                Ok(())
             }
-
-            fn commit(&mut self) -> Result<CommitReport, GraphError> {
-                <$engine>::commit(self)
+            TraceOp::SetIdent(v, ident) => self.set_ident(v, ident),
+            TraceOp::Shrink => {
+                self.shrink_isolated();
+                Ok(())
             }
+            // `Trace::batches()` strips these; tolerate anyway.
+            TraceOp::Commit => Ok(()),
+        }
+    }
 
-            fn commits(&self) -> usize {
-                <$engine>::commits(self)
-            }
+    fn commit(&mut self) -> Result<CommitReport, GraphError> {
+        RecolorEngine::commit(self)
+    }
 
-            fn snapshot(&self) -> Graph {
-                #[allow(clippy::redundant_closure_call)]
-                ($snapshot)(self)
-            }
+    fn commits(&self) -> usize {
+        RecolorEngine::commits(self)
+    }
 
-            fn coloring(&self) -> EdgeColoring {
-                <$engine>::coloring(self)
-            }
+    fn snapshot(&self) -> Graph {
+        self.store.snapshot()
+    }
 
-            fn color_bound(&self) -> u64 {
-                <$engine>::color_bound(self)
-            }
+    fn coloring(&self) -> EdgeColoring {
+        RecolorEngine::coloring(self)
+    }
 
-            fn request_compaction(&mut self) {
-                <$engine>::request_compaction(self)
-            }
+    fn color_bound(&self) -> u64 {
+        RecolorEngine::color_bound(self)
+    }
 
-            fn verify(&self) -> Result<(), String> {
-                verify_lex(self)
-            }
+    fn request_compaction(&mut self) {
+        RecolorEngine::request_compaction(self)
+    }
 
-            fn probe(&self) -> &Arc<dyn Probe> {
-                <$engine>::probe(self)
+    fn verify(&self) -> Result<(), String> {
+        let g = self.store.snapshot();
+        let coloring = RecolorEngine::coloring(self);
+        if coloring.colors().len() != g.m() {
+            return Err(format!(
+                "coloring covers {} edges, snapshot has {}",
+                coloring.colors().len(),
+                g.m()
+            ));
+        }
+        if !coloring.is_proper(&g) {
+            return Err("coloring is not proper on the committed snapshot".to_string());
+        }
+        let bound = RecolorEngine::color_bound(self);
+        if let Some(&worst) = coloring.colors().iter().max() {
+            if worst >= bound {
+                return Err(format!("color {worst} breaches the palette bound {bound}"));
             }
         }
-    };
-}
+        Ok(())
+    }
 
-impl_region_recolor!(Recolorer, |r: &Recolorer| r.graph().clone());
-impl_region_recolor!(SegRecolorer, |r: &SegRecolorer| r.segmented().to_graph().0);
+    fn probe(&self) -> &Arc<dyn Probe> {
+        RecolorEngine::probe(self)
+    }
+}

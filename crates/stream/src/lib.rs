@@ -17,22 +17,21 @@
 //!   snapshot is patched, not rebuilt, and stays bit-identical to a
 //!   rebuild), and the replayable plain-text trace format / seeded churn
 //!   generator;
-//! * [`Recolorer`] — the engine: carry colors across a commit by stable
-//!   edge slot (the commit's `edge_origin` map), extract the repair region
-//!   from the delta alone, schedule it with the Theorem 5.5 pipeline on
-//!   the edge-induced sub-network, finalize with `O(Δ)`-bit
-//!   forbidden-color masks, fall back to from-scratch when the region is
-//!   too dense ([`RecolorConfig::with_rebuild_commits`] keeps the PR 3
-//!   rebuild path as the differential oracle);
+//! * [`RecolorEngine`] — the engine, generic over its graph [`Store`]:
+//!   carry colors across a commit, extract the repair region from the
+//!   delta alone, schedule it with the Theorem 5.5 pipeline on the
+//!   edge-induced sub-network, finalize with `O(Δ)`-bit forbidden-color
+//!   masks, fall back to from-scratch when the region is too dense.
+//!   [`Recolorer`] runs it over the delta-CSR [`deco_graph::MutableGraph`],
+//!   [`SegRecolorer`] over the O(region) [`deco_graph::SegmentedGraph`];
 //! * [`replay_trace`] / [`replay_trace_on`] and the `deco-stream` binary —
 //!   replay a trace file, reporting per-commit repair sizes, rounds and
 //!   wall time.
 //!
-//! Engines are configured per instance through [`RecolorConfig`] (the old
-//! per-engine `with_*` builders survive one PR as deprecated forwarding
-//! shims) and driven representation-agnostically through the object-safe
-//! [`RegionRecolor`] facade, which both [`Recolorer`] and [`SegRecolorer`]
-//! implement — the surface `deco-serve` hosts thousands of tenants behind.
+//! Engines are configured per instance through [`RecolorConfig`] and
+//! driven representation-agnostically through the object-safe
+//! [`RegionRecolor`] facade, which [`RecolorEngine`] implements for every
+//! store — the surface `deco-serve` hosts thousands of tenants behind.
 //!
 //! Determinism: same trace + parameters ⇒ bit-identical colorings and
 //! [`CommitReport`]s at any `DECO_THREADS` / `DECO_DELIVERY` setting (see
@@ -54,17 +53,17 @@ mod facade;
 mod host;
 mod recolor;
 mod replay;
-mod seg_recolor;
 
 pub use config::RecolorConfig;
 pub use facade::RegionRecolor;
-pub use host::RegionHost;
-pub use recolor::{repair_phase, CommitReport, Recolorer, RepairStrategy};
+pub use host::{Carry, RegionHost, Store};
+pub use recolor::{
+    repair_phase, CommitReport, RecolorEngine, Recolorer, RepairStrategy, SegRecolorer,
+};
 pub use replay::{
     queue_op, replay_trace, replay_trace_on, replay_trace_probed, ReplayError, ReplayOutcome,
     ReplayRun,
 };
-pub use seg_recolor::SegRecolorer;
 
 // The configuration vocabulary ([`RecolorConfig::with_transport`] /
 // [`RecolorConfig::with_delivery`]), re-exported so engine users need no

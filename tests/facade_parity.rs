@@ -184,15 +184,13 @@ fn recolor_config_is_the_single_config_surface() {
     assert_eq!(constructed, reconfigured);
 
     // Every config knob lands in both engines' live configuration.
-    let seg_cfg = cfg
-        .with_transport(Arc::new(FaultyTransport::new(1)))
-        .with_max_repair_attempts(0) // clamped to 1 by the builder
-        .with_rebuild_commits(true);
+    // The builder clamps a zero attempt budget to 1.
+    let seg_cfg = cfg.with_transport(Arc::new(FaultyTransport::new(1))).with_max_repair_attempts(0);
     let r =
         SegRecolorer::new_with(20, edge_log_depth(1), MessageMode::Long, seg_cfg.clone()).unwrap();
     assert!(!r.config().transport().is_perfect());
     assert_eq!(r.config().max_attempts(), 1);
     let r = Recolorer::new_with(20, edge_log_depth(1), MessageMode::Long, seg_cfg).unwrap();
     assert!(!r.config().transport().is_perfect());
-    assert!(r.config().rebuild_commits());
+    assert_eq!(r.config().max_attempts(), 1);
 }

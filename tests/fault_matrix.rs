@@ -11,12 +11,11 @@
 //!   matrix makes this hold *across processes*: CI replays this file under
 //!   `DECO_THREADS` ∈ {1, 8}, so thread-count or delivery divergence breaks
 //!   the pin (faulty runs force the sequential scan engine; the fault-free
-//!   from-scratch builds exercise the thread matrix for real);
-//! * **oracle agreement** — the delta-CSR and rebuild commit paths stay
-//!   bit-identical under faults, exactly as on a perfect transport.
+//!   from-scratch builds exercise the thread matrix for real).
 
 use deco_core::edge::legal::{edge_log_depth, MessageMode};
 use deco_graph::generators;
+use deco_probe::Fnv;
 use deco_stream::{CommitReport, FaultyTransport, RecolorConfig, Recolorer, RepairStrategy};
 use std::sync::Arc;
 
@@ -67,15 +66,6 @@ fn run_cell(seed: u64, transport: FaultyTransport) -> (Vec<CommitReport>, Vec<u6
     (reports, r.coloring().into_colors())
 }
 
-/// FNV-1a over a cell's colors and fault counters (the deterministic
-/// fingerprint the matrix pin is built from).
-fn fnv(h: &mut u64, x: u64) {
-    for b in x.to_le_bytes() {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-}
-
 #[test]
 fn every_cell_terminates_legal_within_budget_and_deterministically() {
     for seed in [2u64, 5, 11] {
@@ -105,65 +95,22 @@ fn every_cell_terminates_legal_within_budget_and_deterministically() {
 /// everywhere.
 #[test]
 fn pinned_fault_matrix_fingerprint() {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv::with_prime(0x1000_0000_01b3);
     for (_, transport) in transports(5) {
         let (reports, colors) = run_cell(5, transport);
         for rep in &reports {
-            fnv(&mut h, u64::from(rep.retries));
-            fnv(&mut h, u64::from(rep.fallbacks));
-            fnv(&mut h, rep.stats.rounds as u64);
-            fnv(&mut h, rep.stats.messages as u64);
-            fnv(&mut h, rep.stats.transport_dropped as u64);
+            h.word(u64::from(rep.retries));
+            h.word(u64::from(rep.fallbacks));
+            h.word(rep.stats.rounds as u64);
+            h.word(rep.stats.messages as u64);
+            h.word(rep.stats.transport_dropped as u64);
         }
-        fnv(&mut h, colors.len() as u64);
+        h.word(colors.len() as u64);
         for &c in &colors {
-            fnv(&mut h, c);
+            h.word(c);
         }
     }
-    assert_eq!(h, PINNED_MATRIX_FINGERPRINT);
+    assert_eq!(h.digest(), PINNED_MATRIX_FINGERPRINT);
 }
 
 const PINNED_MATRIX_FINGERPRINT: u64 = 7_913_824_958_085_202_501;
-
-#[test]
-fn delta_and_rebuild_paths_agree_under_faults() {
-    // The PR 4 differential contract survives the fault era: the delta-CSR
-    // and rebuild commit paths produce bit-identical reports and colors
-    // when both run over the same faulty transport.
-    let transport =
-        || Arc::new(FaultyTransport::new(9).with_drop(100_000).with_delay(100_000, 2)) as Arc<_>;
-    let g = generators::random_bounded_degree(180, 6, 33);
-    let params = edge_log_depth(1);
-    let mut fast = Recolorer::from_graph_with(
-        g.clone(),
-        params,
-        MessageMode::Long,
-        RecolorConfig::default().with_transport(transport()),
-    )
-    .unwrap();
-    let mut slow = Recolorer::from_graph_with(
-        g,
-        params,
-        MessageMode::Long,
-        RecolorConfig::default().with_transport(transport()).with_rebuild_commits(true),
-    )
-    .unwrap();
-    assert_eq!(fast.commit().unwrap(), slow.commit().unwrap());
-    for step in 0..4 {
-        let edges: Vec<_> = fast.graph().edges().skip(step * 11).take(3).collect();
-        for r in [&mut fast, &mut slow] {
-            for &(u, v) in &edges {
-                r.delete_edge(u, v).unwrap();
-            }
-            r.commit().unwrap();
-            for &(u, v) in &edges {
-                r.insert_edge(u, v).unwrap();
-            }
-        }
-        let a = fast.commit().unwrap();
-        let b = slow.commit().unwrap();
-        assert_eq!(a, b, "step {step}: reports diverge");
-        assert_eq!(fast.coloring(), slow.coloring(), "step {step}: colors diverge");
-        assert!(fast.coloring().is_proper(fast.graph()));
-    }
-}

@@ -1,9 +1,9 @@
 //! Differential sweep: the segmented engine against the legacy delta-CSR
 //! engine — the PR 7 parity contract.
 //!
-//! [`SegRecolorer`] runs the same generic repair machinery as
-//! [`Recolorer`] but commits through the segmented store (O(region) bytes)
-//! and colors by stable edge id. The contract pinned here:
+//! [`SegRecolorer`] is the same engine as [`Recolorer`] but commits
+//! through the segmented store (O(region) bytes) and colors by stable edge
+//! id. The contract pinned here:
 //!
 //! * **Perfect transport** — per-commit [`CommitReport`]s are
 //!   bit-identical up to `stats.commit_bytes` (the very quantity the
@@ -22,31 +22,10 @@
 //! thread-dependent divergence breaks the asserts below.
 
 use deco_core::edge::legal::{edge_log_depth, MessageMode};
-use deco_graph::trace::{churn_trace, power_law_churn_trace, Trace, TraceOp};
-use deco_graph::{generators, Graph, GraphError};
+use deco_graph::trace::{churn_trace, power_law_churn_trace, Trace};
+use deco_graph::{generators, Graph};
 use deco_stream::{queue_op, FaultyTransport, RecolorConfig, Recolorer, SegRecolorer, Transport};
 use std::sync::Arc;
-
-/// Queues one trace operation on the segmented engine (the
-/// [`queue_op`] counterpart).
-fn queue_seg(r: &mut SegRecolorer, op: TraceOp) -> Result<(), GraphError> {
-    match op {
-        TraceOp::Insert(u, v) => r.insert_edge(u, v),
-        TraceOp::Delete(u, v) => r.delete_edge(u, v),
-        TraceOp::AddVertices(k) => {
-            for _ in 0..k {
-                r.add_vertex();
-            }
-            Ok(())
-        }
-        TraceOp::SetIdent(v, ident) => r.set_ident(v, ident),
-        TraceOp::Shrink => {
-            r.shrink_isolated();
-            Ok(())
-        }
-        TraceOp::Commit => Ok(()),
-    }
-}
 
 /// Replays `trace` through both engines, asserting the parity contract
 /// after every commit; returns cumulative (legacy, segmented) commit
@@ -62,7 +41,7 @@ fn run_parity(
     for (ci, batch) in trace.batches().into_iter().enumerate() {
         for &op in batch {
             queue_op(&mut legacy, op).unwrap();
-            queue_seg(&mut seg, op).unwrap();
+            queue_op(&mut seg, op).unwrap();
         }
         let a = legacy.commit().unwrap();
         let b = seg.commit().unwrap();
@@ -116,7 +95,7 @@ fn from_graph_engines_agree_too() {
     let g = generators::random_bounded_degree(300, 7, 0x7a11);
     let mut legacy =
         Recolorer::from_graph(g.clone(), edge_log_depth(1), MessageMode::Long).unwrap();
-    let mut seg = SegRecolorer::from_graph(&g, edge_log_depth(1), MessageMode::Long).unwrap();
+    let mut seg = SegRecolorer::from_graph(g, edge_log_depth(1), MessageMode::Long).unwrap();
     let compare = |legacy: &mut Recolorer, seg: &mut SegRecolorer, ctx: &str| {
         let a = legacy.commit().unwrap();
         let mut b = seg.commit().unwrap();
@@ -186,7 +165,7 @@ fn power_law_churn_keeps_long_mode_hot_and_in_parity() {
     let mut check = SegRecolorer::new(trace.n0, edge_log_depth(1), MessageMode::Long).unwrap();
     for batch in trace.batches() {
         for &op in batch {
-            queue_seg(&mut check, op).unwrap();
+            queue_op(&mut check, op).unwrap();
         }
         check.commit().unwrap();
         assert!(check.segmented().max_degree() > 48, "power-law trace must keep Δ above λ = 48");
@@ -199,7 +178,8 @@ fn segmented_bytes_scale_with_region_not_graph() {
     // The headline O(region) claim at test scale: a single-edge commit on
     // an m ≈ 3.5k graph writes well under a tenth of the full rewrite.
     let g = generators::random_bounded_degree(1000, 7, 0xb17e);
-    let mut seg = SegRecolorer::from_graph(&g, edge_log_depth(1), MessageMode::Long).unwrap();
+    let mut seg =
+        SegRecolorer::from_graph(g.clone(), edge_log_depth(1), MessageMode::Long).unwrap();
     seg.commit().unwrap(); // initial from-scratch coloring
     let full = Graph::full_rewrite_bytes(g.n(), g.m());
     let (u, v) = (0, g.n() - 1);

@@ -13,25 +13,20 @@
 
 use deco_core::edge::legal::{edge_color, edge_color_bound, edge_log_depth, MessageMode};
 use deco_graph::trace::{churn_trace, parse_trace};
+use deco_probe::Fnv;
 use deco_stream::{replay_trace, Recolorer, RepairStrategy};
 
 /// FNV-1a over the full per-commit color history: pins every color of
 /// every commit without storing them all in the source.
 fn history_hash(reports_colors: &[Vec<u64>]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    };
+    let mut h = Fnv::with_prime(0x1000_0000_01b3);
     for colors in reports_colors {
-        mix(colors.len() as u64);
+        h.word(colors.len() as u64);
         for &c in colors {
-            mix(c);
+            h.word(c);
         }
     }
-    h
+    h.digest()
 }
 
 #[test]

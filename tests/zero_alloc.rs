@@ -4,10 +4,14 @@
 //! naive reference engine, by contrast, allocates per round by design.
 //!
 //! Allocation counts are deterministic for a fixed sequential run, so the
-//! assertions are exact-science, not flaky heuristics.
+//! assertions are exact-science, not flaky heuristics. The counter is
+//! process-global and libtest runs tests concurrently, so each test holds
+//! [`MEASURING`] for its whole body: neither counts the other's
+//! allocations, at any test-thread count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 struct CountingAlloc;
 
@@ -37,6 +41,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Serializes the measuring tests.
+static MEASURING: Mutex<()> = Mutex::new(());
+
+/// Takes [`MEASURING`]; a test that failed while holding it must not fail
+/// the other one too.
+fn measuring() -> MutexGuard<'static, ()> {
+    MEASURING.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 use deco_graph::generators;
 use deco_local::{Action, Engine, Network, NodeCtx, Protocol};
@@ -84,6 +97,7 @@ fn allocs_for(engine: Engine, rounds: usize) -> usize {
 
 #[test]
 fn slot_engine_steady_state_allocates_nothing_per_round() {
+    let _serial = measuring();
     // Warm up whatever lazy global state the first run touches.
     let _ = allocs_for(Engine::Slot, 4);
     let short = allocs_for(Engine::Slot, 10);
@@ -174,6 +188,7 @@ fn long_mode_allocs_for(rounds: usize) -> usize {
 
 #[test]
 fn dense_long_mode_rounds_allocate_nothing_once_spill_arena_is_warm() {
+    let _serial = measuring();
     // Warm the engine buffers and the spill arena's chunk pool.
     let _ = long_mode_allocs_for(4);
     let spill_before = deco_local::spill::stats();

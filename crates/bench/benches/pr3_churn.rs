@@ -22,7 +22,7 @@ use deco_bench::json::{Obj, Value};
 use deco_bench::{banner, millis, ratio, scale, time_interleaved, Scale, Table};
 use deco_core::edge::legal::{edge_color, edge_color_bound, edge_log_depth, MessageMode};
 use deco_graph::trace::{churn_trace_from, TraceOp};
-use deco_stream::{queue_op, Recolorer, RepairStrategy};
+use deco_stream::{Recolorer, RegionRecolor, RepairStrategy};
 use std::time::Duration;
 
 struct Row {
@@ -78,7 +78,7 @@ fn main() {
     let batches = trace.batches();
     let mut engine = Recolorer::new(trace.n0, params, mode).expect("preset params are valid");
     for &op in batches[0] {
-        queue_op(&mut engine, op).expect("generated traces are valid");
+        engine.queue_op(op).expect("generated traces are valid");
     }
     let initial = engine.commit().expect("generated traces are valid");
     println!(
@@ -91,7 +91,7 @@ fn main() {
         // Run the commit once to fix the post-commit snapshot and verify.
         let mut probe = engine.clone();
         for &op in *batch {
-            queue_op(&mut probe, op).expect("valid trace");
+            probe.queue_op(op).expect("valid trace");
         }
         let report = probe.commit().expect("valid trace");
         assert_eq!(
@@ -115,7 +115,7 @@ fn main() {
                 &mut || {
                     let mut r = base.clone();
                     for &op in &batch_ops {
-                        queue_op(&mut r, op).expect("valid trace");
+                        r.queue_op(op).expect("valid trace");
                     }
                     r.commit().expect("valid trace").stats.rounds
                 },

@@ -25,7 +25,7 @@ use deco_bench::{banner, millis, scale, Scale, Table};
 use deco_graph::trace::{churn_trace_from, TraceOp};
 use deco_graph::MutableGraph;
 use deco_probe::Fnv;
-use deco_stream::{queue_op, Recolorer, RepairStrategy};
+use deco_stream::{Recolorer, RegionRecolor, RepairStrategy};
 use std::time::{Duration, Instant};
 
 use deco_core::edge::legal::{edge_log_depth, MessageMode};
@@ -129,8 +129,8 @@ fn main() {
     let mut delta_engine = Recolorer::new(trace.n0, params, mode).expect("preset params");
     let mut unsplit_engine = Recolorer::new(trace.n0, params, mode).expect("preset params");
     for &op in batches[0] {
-        queue_op(&mut delta_engine, op).expect("valid trace");
-        queue_op(&mut unsplit_engine, op).expect("valid trace");
+        delta_engine.queue_op(op).expect("valid trace");
+        unsplit_engine.queue_op(op).expect("valid trace");
     }
     let initial = delta_engine.commit().expect("valid trace");
     unsplit_engine.commit().expect("valid trace");
@@ -174,7 +174,7 @@ fn main() {
         dels.sort_unstable_by_key(key);
         inss.sort_unstable_by_key(key);
         for &op in *batch {
-            queue_op(&mut unsplit_engine, op).expect("valid trace");
+            unsplit_engine.queue_op(op).expect("valid trace");
         }
         unsplit_engine.commit().expect("valid trace");
 
@@ -187,7 +187,7 @@ fn main() {
             // snapshot before anything is timed.
             let pre = graph.clone();
             for &op in ops {
-                queue_op(&mut delta_engine, op).expect("valid trace");
+                delta_engine.queue_op(op).expect("valid trace");
             }
             let report = delta_engine.commit().expect("valid trace");
             let colors = delta_engine.coloring().into_colors();

@@ -31,7 +31,7 @@ use deco_bench::{banner, millis, scale, time_interleaved, Scale, Table};
 use deco_core::edge::legal::{edge_log_depth, MessageMode};
 use deco_graph::trace::{churn_trace_from, TraceOp};
 use deco_graph::{EdgeIdx, Vertex};
-use deco_stream::{queue_op, repair_phase, Recolorer, RepairStrategy};
+use deco_stream::{repair_phase, Recolorer, RegionRecolor, RepairStrategy};
 use std::time::Duration;
 
 /// In-band "dirty" marker for the reconstructed carry (ignored by
@@ -131,7 +131,7 @@ fn main() {
     let batches = trace.batches();
     let mut engine = Recolorer::new(trace.n0, params, mode).expect("preset params are valid");
     for &op in batches[0] {
-        queue_op(&mut engine, op).expect("generated traces are valid");
+        engine.queue_op(op).expect("generated traces are valid");
     }
     let initial = engine.commit().expect("generated traces are valid");
     println!(
@@ -147,7 +147,7 @@ fn main() {
         let pre_colors = engine.coloring().into_colors();
         let mut probe = engine.clone();
         for &op in *batch {
-            queue_op(&mut probe, op).expect("valid trace");
+            probe.queue_op(op).expect("valid trace");
         }
         let report = probe.commit().expect("valid trace");
         assert_eq!(report.strategy, RepairStrategy::Incremental, "1% churn repairs incrementally");
@@ -186,7 +186,7 @@ fn main() {
             let mut r = base_engine.clone();
             r.set_config(base_engine.config().clone().with_early_halt(early));
             for &op in &batch_ops {
-                queue_op(&mut r, op).expect("valid trace");
+                r.queue_op(op).expect("valid trace");
             }
             r.commit().expect("valid trace").stats.rounds
         };

@@ -29,7 +29,7 @@ use deco_core::edge::legal::{edge_log_depth, MessageMode};
 use deco_graph::trace::{churn_trace_from, power_law_churn_trace, Trace, TraceOp};
 use deco_graph::{generators, MutableGraph, SegmentedGraph};
 use deco_probe::Fnv;
-use deco_stream::{queue_op, Recolorer, RegionRecolor, SegRecolorer};
+use deco_stream::{Recolorer, RegionRecolor, SegRecolorer};
 use std::time::{Duration, Instant};
 
 /// FNV-1a over one commit's colors (the stream_churn pin's hash function).
@@ -49,7 +49,7 @@ fn time_commit<E: RegionRecolor + Clone>(base: &E, ops: &[TraceOp], samples: usi
     for _ in 0..=samples {
         let mut r = base.clone();
         for &op in ops {
-            queue_op(&mut r, op).expect("valid trace");
+            r.queue_op(op).expect("valid trace");
         }
         let t0 = Instant::now();
         r.commit().expect("valid trace");
@@ -112,8 +112,8 @@ fn run_pair(scenario: &'static str, trace: &Trace, samples: usize, rows: &mut Ve
             (Duration::ZERO, Duration::ZERO) // build commit: not timed
         };
         for &op in batch {
-            queue_op(&mut legacy, op).expect("valid trace");
-            queue_op(&mut seg, op).expect("valid trace");
+            legacy.queue_op(op).expect("valid trace");
+            seg.queue_op(op).expect("valid trace");
         }
         let a = legacy.commit().expect("valid trace");
         let b = seg.commit().expect("valid trace");

@@ -61,7 +61,7 @@ use deco_core::edge::legal::{edge_log_depth, MessageMode};
 use deco_graph::generators;
 use deco_graph::trace::{churn_trace_from, Trace};
 use deco_probe::{Event, Probe, RecordingProbe};
-use deco_stream::{queue_op, replay_trace_probed, CommitReport, Recolorer, ReplayOutcome};
+use deco_stream::{replay_trace_probed, CommitReport, Recolorer, RegionRecolor, ReplayOutcome};
 use std::sync::Arc;
 
 fn allocs(f: impl FnOnce()) -> usize {
@@ -163,7 +163,7 @@ fn main() {
         let mut r =
             Recolorer::new(trace.n0, edge_log_depth(1), MessageMode::Long).expect("preset params");
         for &op in trace.batches()[0] {
-            queue_op(&mut r, op).expect("valid trace");
+            r.queue_op(op).expect("valid trace");
         }
         r.commit().expect("valid trace");
         r
@@ -184,7 +184,7 @@ fn main() {
                 alloc_null = allocs(|| {
                     let mut r = built_null.clone();
                     for &op in &batch {
-                        queue_op(&mut r, op).expect("valid trace");
+                        r.queue_op(op).expect("valid trace");
                     }
                     r.commit().expect("valid trace");
                 });
@@ -193,7 +193,7 @@ fn main() {
                 alloc_rec = allocs(|| {
                     let mut r = built_rec.clone();
                     for &op in &batch {
-                        queue_op(&mut r, op).expect("valid trace");
+                        r.queue_op(op).expect("valid trace");
                     }
                     r.commit().expect("valid trace");
                 });

@@ -1,3 +1,4 @@
+use crate::batch::{check_idents, check_pair, patch_lists};
 use crate::{EdgeIdx, GraphError, Vertex};
 
 /// An immutable simple undirected graph in CSR form.
@@ -112,13 +113,8 @@ impl Graph {
         if idents.len() != self.n {
             return Err(GraphError::BadIdentCount { got: idents.len(), expected: self.n });
         }
-        let mut sorted = idents.clone();
-        sorted.sort_unstable();
-        for w in sorted.windows(2) {
-            if w[0] == w[1] {
-                return Err(GraphError::DuplicateIdent { ident: w[0] });
-            }
-        }
+        // No identifier was validated before, so all of them are checked.
+        check_idents(&[], &idents)?;
         self.idents = idents;
         Ok(self)
     }
@@ -402,17 +398,7 @@ impl Graph {
         if let Some(&(u, v)) = sorted_intersect(inserted, deleted) {
             return Err(GraphError::DuplicateEdge { u, v });
         }
-        // Identifiers only need revalidation where they changed; unchanged
-        // ones are distinct by this graph's invariant.
-        if idents[..n_old] != self.idents[..] || added_vertices > 0 {
-            let mut sorted = idents.clone();
-            sorted.sort_unstable();
-            for w in sorted.windows(2) {
-                if w[0] == w[1] {
-                    return Err(GraphError::DuplicateIdent { ident: w[0] });
-                }
-            }
-        }
+        check_idents(&self.idents, &idents)?;
 
         let m_old = self.edges.len();
         let m_new = m_old + inserted.len() - deleted.len();
@@ -491,21 +477,8 @@ impl Graph {
             debug_assert_eq!(edges.len(), m_new);
         }
 
-        // 2. Directed patch lists, sorted by (owner, neighbor) so every
-        // touched vertex's additions and removals form one contiguous
-        // window consumed by the cursors of the splice pass.
-        let mut add_adj: Vec<(u32, u32, u32)> = Vec::with_capacity(2 * inserted.len());
-        for (i, &(u, v)) in inserted.iter().enumerate() {
-            add_adj.push((u as u32, v as u32, ins_idx[i]));
-            add_adj.push((v as u32, u as u32, ins_idx[i]));
-        }
-        add_adj.sort_unstable();
-        let mut del_adj: Vec<(u32, u32)> = Vec::with_capacity(2 * deleted.len());
-        for &(u, v) in deleted {
-            del_adj.push((u as u32, v as u32));
-            del_adj.push((v as u32, u as u32));
-        }
-        del_adj.sort_unstable();
+        // 2. Directed patch lists, consumed by the cursors of the splice pass.
+        let (add_adj, del_adj) = patch_lists(inserted, &ins_idx, deleted);
 
         // 3. New CSR offsets and per-vertex slot shifts in one cheap
         // sequential pass. An untouched vertex keeps its old adjacency
@@ -649,15 +622,7 @@ impl Graph {
         must_exist: bool,
     ) -> Result<(), GraphError> {
         for (i, &(u, v)) in list.iter().enumerate() {
-            if u >= n {
-                return Err(GraphError::VertexOutOfRange { vertex: u, n });
-            }
-            if v >= n {
-                return Err(GraphError::VertexOutOfRange { vertex: v, n });
-            }
-            if u == v {
-                return Err(GraphError::SelfLoop { vertex: u });
-            }
+            check_pair(n, u, v)?;
             assert!(u < v, "patch pairs must be normalized (u < v)");
             if i > 0 {
                 assert!(list[i - 1] < (u, v), "patch lists must be strictly sorted");
@@ -751,17 +716,7 @@ impl GraphBuilder {
     /// Returns [`GraphError`] if an endpoint is out of range or the edge is a
     /// self-loop. Duplicates are detected at [`GraphBuilder::build`] time.
     pub fn add_edge(&mut self, u: Vertex, v: Vertex) -> Result<&mut Self, GraphError> {
-        if u >= self.n {
-            return Err(GraphError::VertexOutOfRange { vertex: u, n: self.n });
-        }
-        if v >= self.n {
-            return Err(GraphError::VertexOutOfRange { vertex: v, n: self.n });
-        }
-        if u == v {
-            return Err(GraphError::SelfLoop { vertex: u });
-        }
-        let (a, b) = if u < v { (u, v) } else { (v, u) };
-        self.edges.push((a as u32, b as u32));
+        self.edges.push(check_pair(self.n, u, v)?);
         Ok(self)
     }
 
@@ -771,20 +726,11 @@ impl GraphBuilder {
     ///
     /// Same as [`GraphBuilder::add_edge`] for range and self-loop violations.
     pub fn add_edge_dedup(&mut self, u: Vertex, v: Vertex) -> Result<bool, GraphError> {
-        if u >= self.n {
-            return Err(GraphError::VertexOutOfRange { vertex: u, n: self.n });
-        }
-        if v >= self.n {
-            return Err(GraphError::VertexOutOfRange { vertex: v, n: self.n });
-        }
-        if u == v {
-            return Err(GraphError::SelfLoop { vertex: u });
-        }
-        let (a, b) = if u < v { (u as u32, v as u32) } else { (v as u32, u as u32) };
-        if self.edges.contains(&(a, b)) {
+        let pair = check_pair(self.n, u, v)?;
+        if self.edges.contains(&pair) {
             return Ok(false);
         }
-        self.edges.push((a, b));
+        self.edges.push(pair);
         Ok(true)
     }
 

@@ -49,6 +49,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod batch;
 mod error;
 mod graph_impl;
 mod mutable;

@@ -7,12 +7,16 @@
 //! mutations are queued with [`MutableGraph::insert_edge`],
 //! [`MutableGraph::delete_edge`], [`MutableGraph::add_vertex`],
 //! [`MutableGraph::set_ident`] and [`MutableGraph::shrink_isolated`], and
-//! [`MutableGraph::commit`] applies the whole batch atomically.
+//! [`MutableGraph::commit`] applies the whole batch atomically. The batch
+//! itself — queue-time checks, resolution into net lists, the identifier
+//! rule, the queue-order replay — is shared with
+//! [`crate::SegmentedGraph`], so both stores accept, reject and number
+//! exactly alike.
 //!
 //! # Delta-CSR commits
 //!
-//! A commit does **not** rebuild the snapshot from its edge list. It replays
-//! the batch against a sparse overlay to derive the net insert/delete
+//! A commit does **not** rebuild the snapshot from its edge list. It
+//! resolves the batch against a sparse overlay into the net insert/delete
 //! lists, then patches the CSR with [`Graph::patched`]: only the adjacency
 //! of touched vertices is spliced, everything else is shifted in linear
 //! copies, and the result is bit-identical to a [`Graph::from_edges`]
@@ -20,7 +24,8 @@
 //! cost instead of hash-plus-sort cost. The pre-delta path survives as
 //! [`MutableGraph::commit_rebuild`], the differential oracle benches and
 //! tests compare against (the same role the simulator's `Engine::Naive`
-//! plays for slot delivery).
+//! plays for slot delivery): it resolves every batch by queue-order
+//! replay, never through the overlay.
 //!
 //! Batches containing a [`MutableGraph::shrink_isolated`] compaction
 //! renumber vertices, which no patch can express; those commits take the
@@ -36,23 +41,10 @@
 //! the stable [`CommitDelta::edge_origin`] map that lets per-edge state be
 //! carried across the commit by edge slot instead of endpoint matching.
 
+use crate::batch::Batch;
 use crate::{Graph, GraphError, Vertex};
 use deco_probe::{Event, Probe};
-// tidy: allow(hash-iter) — commit replay uses hash containers only for
-// membership and per-pair overlay flags; every iteration result is
-// sorted (sort_unstable) before it can reach deltas or the graph.
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-
-/// One queued mutation (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Op {
-    Insert(u32, u32),
-    Delete(u32, u32),
-    AddVertex,
-    SetIdent(u32, u64),
-    Shrink,
-}
 
 /// The net effect of one committed mutation batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,10 +121,8 @@ impl CommitDelta {
 pub struct MutableGraph {
     /// The committed snapshot.
     snapshot: Graph,
-    /// Queued, not-yet-committed operations, in queue order.
-    pending: Vec<Op>,
-    /// Vertices added by pending ops (so queued inserts can address them).
-    pending_vertices: usize,
+    /// Queued, not-yet-committed operations.
+    batch: Batch,
     /// Observability sink: both commit paths emit one
     /// [`Event::CommitBytes`] per non-empty batch (default: disabled).
     probe: Arc<dyn Probe>,
@@ -146,12 +136,7 @@ impl MutableGraph {
 
     /// Wraps an existing graph as the committed state.
     pub fn from_graph(snapshot: Graph) -> MutableGraph {
-        MutableGraph {
-            snapshot,
-            pending: Vec::new(),
-            pending_vertices: 0,
-            probe: deco_probe::null(),
-        }
+        MutableGraph { snapshot, batch: Batch::default(), probe: deco_probe::null() }
     }
 
     /// Attaches an observability probe (default: the shared disabled
@@ -179,12 +164,12 @@ impl MutableGraph {
     /// ignoring any queued [`MutableGraph::shrink_isolated`] compactions
     /// (their removal count is only known at commit time).
     pub fn next_n(&self) -> usize {
-        self.snapshot.n() + self.pending_vertices
+        self.snapshot.n() + self.batch.added()
     }
 
     /// Number of queued, uncommitted operations.
     pub fn pending_ops(&self) -> usize {
-        self.pending.len()
+        self.batch.len()
     }
 
     /// Queues insertion of the undirected edge `(u, v)`.
@@ -198,9 +183,7 @@ impl MutableGraph {
     /// Returns [`GraphError`] if an endpoint is out of range for the
     /// post-batch vertex count or the edge is a self-loop.
     pub fn insert_edge(&mut self, u: Vertex, v: Vertex) -> Result<(), GraphError> {
-        let (u, v) = self.check_pair(u, v)?;
-        self.pending.push(Op::Insert(u, v));
-        Ok(())
+        self.batch.insert(self.snapshot.n(), u, v)
     }
 
     /// Queues deletion of the undirected edge `(u, v)`.
@@ -212,9 +195,7 @@ impl MutableGraph {
     /// Returns [`GraphError`] if an endpoint is out of range for the
     /// post-batch vertex count or the edge is a self-loop.
     pub fn delete_edge(&mut self, u: Vertex, v: Vertex) -> Result<(), GraphError> {
-        let (u, v) = self.check_pair(u, v)?;
-        self.pending.push(Op::Delete(u, v));
-        Ok(())
+        self.batch.delete(self.snapshot.n(), u, v)
     }
 
     /// Queues addition of one vertex and returns its index (valid from the
@@ -226,9 +207,7 @@ impl MutableGraph {
     /// survivors holding higher identifiers. Override with
     /// [`MutableGraph::set_ident`] for full control.
     pub fn add_vertex(&mut self) -> Vertex {
-        self.pending.push(Op::AddVertex);
-        self.pending_vertices += 1;
-        self.next_n() - 1
+        self.batch.add_vertex(self.snapshot.n())
     }
 
     /// Queues an identifier override for `v` (applied after vertex
@@ -240,11 +219,7 @@ impl MutableGraph {
     /// Returns [`GraphError`] if `v` is out of range for the post-batch
     /// vertex count.
     pub fn set_ident(&mut self, v: Vertex, ident: u64) -> Result<(), GraphError> {
-        if v >= self.next_n() {
-            return Err(GraphError::VertexOutOfRange { vertex: v, n: self.next_n() });
-        }
-        self.pending.push(Op::SetIdent(v as u32, ident));
-        Ok(())
+        self.batch.set_ident(self.snapshot.n(), v, ident)
     }
 
     /// Queues a compaction: at this point of the batch, every vertex with
@@ -257,27 +232,12 @@ impl MutableGraph {
     /// trace format's `shrink` op. A batch containing a shrink commits via
     /// the rebuild path (renumbering defeats CSR patching by design).
     pub fn shrink_isolated(&mut self) {
-        self.pending.push(Op::Shrink);
+        self.batch.shrink();
     }
 
     /// Discards all queued operations, keeping the committed state.
     pub fn discard_pending(&mut self) {
-        self.pending.clear();
-        self.pending_vertices = 0;
-    }
-
-    fn check_pair(&self, u: Vertex, v: Vertex) -> Result<(u32, u32), GraphError> {
-        let n = self.next_n();
-        if u >= n {
-            return Err(GraphError::VertexOutOfRange { vertex: u, n });
-        }
-        if v >= n {
-            return Err(GraphError::VertexOutOfRange { vertex: v, n });
-        }
-        if u == v {
-            return Err(GraphError::SelfLoop { vertex: u });
-        }
-        Ok(if u < v { (u as u32, v as u32) } else { (v as u32, u as u32) })
+        self.batch.clear();
     }
 
     /// Applies the queued batch atomically via the delta-CSR patch
@@ -291,121 +251,30 @@ impl MutableGraph {
     /// On error the committed state is unchanged and the batch is
     /// discarded.
     pub fn commit(&mut self) -> Result<CommitDelta, GraphError> {
-        if self.pending.is_empty() {
+        if self.batch.is_empty() {
             return Ok(self.empty_batch_delta());
         }
-        if self.pending.contains(&Op::Shrink) {
+        if self.batch.has_shrink() {
             return self.commit_rebuild();
         }
         let old = &self.snapshot;
-        let added_vertices = self.pending_vertices;
-        let n_new = old.n() + added_vertices;
-        // Replay the batch against the snapshot plus a sparse overlay of
-        // the touched pairs: `(was, now)` existence per pair. O(batch), not
-        // O(m) — the committed edge set is never materialized.
-        // tidy: allow(hash-iter) — iterated once below, then sorted
-        // (sort_unstable) before anything reads the delta.
-        let mut overlay: HashMap<(u32, u32), (bool, bool)> = HashMap::new();
-        let mut ident_ops: Vec<(usize, u64)> = Vec::new();
-        let mut replay = || -> Result<(), GraphError> {
-            for &op in &self.pending {
-                match op {
-                    Op::Insert(u, v) => {
-                        let slot = overlay.entry((u, v)).or_insert_with(|| {
-                            let was = old.has_edge(u as usize, v as usize);
-                            (was, was)
-                        });
-                        if slot.1 {
-                            return Err(GraphError::DuplicateEdge { u: u as usize, v: v as usize });
-                        }
-                        slot.1 = true;
-                    }
-                    Op::Delete(u, v) => {
-                        let slot = overlay.entry((u, v)).or_insert_with(|| {
-                            let was = old.has_edge(u as usize, v as usize);
-                            (was, was)
-                        });
-                        if !slot.1 {
-                            return Err(GraphError::MissingEdge { u: u as usize, v: v as usize });
-                        }
-                        slot.1 = false;
-                    }
-                    Op::AddVertex => {}
-                    Op::SetIdent(v, ident) => ident_ops.push((v as usize, ident)),
-                    // INVARIANT: shrink batches are routed to the rebuild path above, so apply never sees one.
-                    Op::Shrink => unreachable!("shrink batches take the rebuild path"),
-                }
-            }
-            Ok(())
-        };
-        if let Err(e) = replay() {
-            self.discard_pending();
-            return Err(e);
-        }
-        let mut inserted: Vec<(Vertex, Vertex)> = Vec::new();
-        let mut deleted: Vec<(Vertex, Vertex)> = Vec::new();
-        for (&(u, v), &(was, now)) in &overlay {
-            match (was, now) {
-                (false, true) => inserted.push((u as usize, v as usize)),
-                (true, false) => deleted.push((u as usize, v as usize)),
-                _ => {}
-            }
-        }
-        inserted.sort_unstable();
-        deleted.sort_unstable();
-        // Identifiers, replayed in queue order (last override wins). A
-        // batch that adds vertices pays one O(n) set build so defaults can
-        // skip identifiers already in use — after a shrink compaction the
-        // survivors keep their (higher) identifiers, so the naive
-        // `index + 1` default would clash and spuriously fail the commit.
-        let mut idents = self.snapshot.idents().to_vec();
-        if added_vertices > 0 {
-            // tidy: allow(hash-iter) — membership probes only; candidate
-            // identifiers come from the deterministic `index + 1` walk.
-            let mut used: HashSet<u64> = idents.iter().copied().collect();
-            for &op in &self.pending {
-                match op {
-                    Op::AddVertex => {
-                        let mut c = idents.len() as u64 + 1;
-                        while !used.insert(c) {
-                            c += 1;
-                        }
-                        idents.push(c);
-                    }
-                    Op::SetIdent(v, ident) => {
-                        used.insert(ident);
-                        idents[v as usize] = ident;
-                    }
-                    _ => {}
-                }
-            }
-        } else {
-            for &(v, ident) in &ident_ops {
-                idents[v] = ident;
-            }
-        }
-        debug_assert_eq!(idents.len(), n_new);
-        match self.snapshot.patched(&inserted, &deleted, added_vertices, idents) {
-            Ok((graph, edge_origin)) => {
-                let commit_bytes = Graph::full_rewrite_bytes(graph.n(), graph.m());
-                self.emit_commit_bytes(commit_bytes);
-                self.snapshot = graph;
-                self.discard_pending();
-                Ok(CommitDelta {
-                    inserted,
-                    deleted,
-                    added_vertices,
-                    edge_origin,
-                    removed_vertices: 0,
-                    vertex_map: None,
-                    commit_bytes,
-                })
-            }
-            Err(e) => {
-                self.discard_pending();
-                Err(e)
-            }
-        }
+        let resolved = self.batch.resolve(old.idents(), |u, v| old.has_edge(u, v));
+        self.batch.clear();
+        let r = resolved?;
+        let (graph, edge_origin) =
+            old.patched(&r.inserted, &r.deleted, r.added_vertices, r.idents)?;
+        let commit_bytes = Graph::full_rewrite_bytes(graph.n(), graph.m());
+        self.emit_commit_bytes(commit_bytes);
+        self.snapshot = graph;
+        Ok(CommitDelta {
+            inserted: r.inserted,
+            deleted: r.deleted,
+            added_vertices: r.added_vertices,
+            edge_origin,
+            removed_vertices: 0,
+            vertex_map: None,
+            commit_bytes,
+        })
     }
 
     /// The no-op delta an empty batch commits to: identity origin map, zero
@@ -436,144 +305,26 @@ impl MutableGraph {
     ///
     /// Same conditions as [`MutableGraph::commit`].
     pub fn commit_rebuild(&mut self) -> Result<CommitDelta, GraphError> {
-        if self.pending.is_empty() {
+        if self.batch.is_empty() {
             return Ok(self.empty_batch_delta());
         }
         let old = &self.snapshot;
-        let added_vertices = self.pending_vertices;
-        // Working state in the *current* numbering, which shrink ops may
-        // compact mid-batch.
-        let mut n_cur = old.n();
-        // tidy: allow(hash-iter) — membership probes during queue-order
-        // replay; the rebuilt edge list is re-derived in sorted order.
-        let mut set: HashSet<(u32, u32)> = old.edges().map(|(u, v)| (u as u32, v as u32)).collect();
-        let mut idents: Vec<u64> = old.idents().to_vec();
-        // Identifiers claimed so far (pre-batch ones included, even if a
-        // shrink later removes their vertex — freed values are reusable
-        // from the *next* batch on): the same conservative default rule as
-        // the delta path, so the two paths assign identical defaults.
-        // tidy: allow(hash-iter) — membership probes only, as above.
-        let mut used_idents: Option<HashSet<u64>> =
-            (added_vertices > 0).then(|| idents.iter().copied().collect());
-        let mut back_to_old: Vec<Option<Vertex>> = (0..n_cur).map(Some).collect();
-        let mut removed_vertices = 0usize;
-        let mut renumbered = false;
-        // Applying in queue order makes delete-then-reinsert legal,
-        // last-override-wins for identifiers, and gives shrink compactions
-        // a well-defined point in the batch.
-        let mut replay = || -> Result<(), GraphError> {
-            for &op in &self.pending {
-                match op {
-                    Op::Insert(u, v) => {
-                        check_cur_pair(u, v, n_cur)?;
-                        if !set.insert((u, v)) {
-                            return Err(GraphError::DuplicateEdge { u: u as usize, v: v as usize });
-                        }
-                    }
-                    Op::Delete(u, v) => {
-                        check_cur_pair(u, v, n_cur)?;
-                        if !set.remove(&(u, v)) {
-                            return Err(GraphError::MissingEdge { u: u as usize, v: v as usize });
-                        }
-                    }
-                    Op::AddVertex => {
-                        // INVARIANT: used_idents is initialized whenever the batch contains adds, checked just above.
-                        let used = used_idents.as_mut().expect("adds imply the set exists");
-                        let mut c = idents.len() as u64 + 1;
-                        while !used.insert(c) {
-                            c += 1;
-                        }
-                        idents.push(c);
-                        back_to_old.push(None);
-                        n_cur += 1;
-                    }
-                    Op::SetIdent(v, ident) => {
-                        if (v as usize) >= n_cur {
-                            return Err(GraphError::VertexOutOfRange {
-                                vertex: v as usize,
-                                n: n_cur,
-                            });
-                        }
-                        if let Some(used) = used_idents.as_mut() {
-                            used.insert(ident);
-                        }
-                        idents[v as usize] = ident;
-                    }
-                    Op::Shrink => {
-                        let mut connected = vec![false; n_cur];
-                        for &(u, v) in &set {
-                            connected[u as usize] = true;
-                            connected[v as usize] = true;
-                        }
-                        let keep: Vec<usize> = (0..n_cur).filter(|&v| connected[v]).collect();
-                        if keep.len() == n_cur {
-                            continue;
-                        }
-                        let mut remap = vec![u32::MAX; n_cur];
-                        for (new, &old_v) in keep.iter().enumerate() {
-                            remap[old_v] = new as u32;
-                        }
-                        // The remap is monotone, so pairs stay normalized.
-                        set = set
-                            .iter()
-                            .map(|&(u, v)| (remap[u as usize], remap[v as usize]))
-                            .collect();
-                        idents = keep.iter().map(|&v| idents[v]).collect();
-                        back_to_old = keep.iter().map(|&v| back_to_old[v]).collect();
-                        removed_vertices += n_cur - keep.len();
-                        renumbered = true;
-                        n_cur = keep.len();
-                    }
-                }
-            }
-            Ok(())
-        };
-        if let Err(e) = replay() {
-            self.discard_pending();
-            return Err(e);
-        }
-        let mut edges: Vec<(usize, usize)> =
-            set.into_iter().map(|(u, v)| (u as usize, v as usize)).collect();
-        edges.sort_unstable();
-        let graph = match Graph::from_edges(n_cur, &edges).and_then(|g| g.with_idents(idents)) {
-            Ok(g) => g,
-            Err(e) => {
-                self.discard_pending();
-                return Err(e);
-            }
-        };
+        let rebuilt = self.batch.replay(old.n(), old.edges(), old.idents());
+        self.batch.clear();
+        let rebuilt = rebuilt?;
+        let graph = &rebuilt.graph;
         let commit_bytes = Graph::full_rewrite_bytes(graph.n(), graph.m());
-        let delta = if renumbered {
+        let delta = if rebuilt.removed_vertices > 0 {
             // Vertices were renumbered: match edges through the back map.
-            let mut edge_origin = vec![Graph::NO_EDGE_ORIGIN; graph.m()];
-            let mut survived = vec![false; old.m()];
-            let mut inserted = Vec::new();
-            for (e, (u, v)) in graph.edges().enumerate() {
-                let carried = match (back_to_old[u], back_to_old[v]) {
-                    (Some(bu), Some(bv)) => old.edge_between(bu, bv),
-                    _ => None,
-                };
-                match carried {
-                    Some(oe) => {
-                        edge_origin[e] = oe as u32;
-                        survived[oe] = true;
-                    }
-                    None => inserted.push((u, v)),
-                }
-            }
-            let deleted: Vec<(Vertex, Vertex)> = old
-                .edges()
-                .enumerate()
-                .filter(|&(oe, _)| !survived[oe])
-                .map(|(_, pair)| pair)
-                .collect();
+            let matched =
+                rebuilt.match_back(old.m(), old.edges().enumerate(), |u, v| old.edge_between(u, v));
             CommitDelta {
-                inserted,
-                deleted,
-                added_vertices,
-                edge_origin,
-                removed_vertices,
-                vertex_map: Some(back_to_old),
+                inserted: matched.inserted,
+                deleted: matched.deleted,
+                added_vertices: rebuilt.added_vertices,
+                edge_origin: matched.origin,
+                removed_vertices: rebuilt.removed_vertices,
+                vertex_map: Some(rebuilt.back),
                 commit_bytes,
             }
         } else {
@@ -613,7 +364,7 @@ impl MutableGraph {
             CommitDelta {
                 inserted,
                 deleted,
-                added_vertices,
+                added_vertices: rebuilt.added_vertices,
                 edge_origin,
                 removed_vertices: 0,
                 vertex_map: None,
@@ -621,23 +372,9 @@ impl MutableGraph {
             }
         };
         self.emit_commit_bytes(commit_bytes);
-        self.snapshot = graph;
-        self.discard_pending();
+        self.snapshot = rebuilt.graph;
         Ok(delta)
     }
-}
-
-/// Range check against the *current* (possibly shrunk) vertex count during
-/// rebuild replay. For batches without shrinks this can never fire
-/// (queue-time checks already validated against the post-batch count); with
-/// shrinks, later ops may reference compacted-away indices.
-fn check_cur_pair(u: u32, v: u32, n_cur: usize) -> Result<(), GraphError> {
-    for w in [u, v] {
-        if (w as usize) >= n_cur {
-            return Err(GraphError::VertexOutOfRange { vertex: w as usize, n: n_cur });
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -766,20 +503,27 @@ mod tests {
         // must match bit for bit (the delta-CSR contract).
         let mut fast = MutableGraph::new(5);
         let mut slow = MutableGraph::new(5);
-        let batches: Vec<Vec<Op>> = vec![
-            vec![Op::Insert(0, 1), Op::Insert(1, 2), Op::Insert(3, 4)],
-            vec![Op::Delete(1, 2), Op::Insert(2, 3), Op::AddVertex, Op::Insert(4, 5)],
-            vec![Op::SetIdent(0, 99), Op::Insert(0, 2)],
+        type Queue = fn(&mut MutableGraph) -> Result<(), GraphError>;
+        let batches: [Queue; 3] = [
+            |g| {
+                g.insert_edge(0, 1)?;
+                g.insert_edge(1, 2)?;
+                g.insert_edge(3, 4)
+            },
+            |g| {
+                g.delete_edge(1, 2)?;
+                g.insert_edge(2, 3)?;
+                g.add_vertex();
+                g.insert_edge(4, 5)
+            },
+            |g| {
+                g.set_ident(0, 99)?;
+                g.insert_edge(0, 2)
+            },
         ];
         for batch in batches {
-            for op in batch {
-                fast.pending.push(op);
-                slow.pending.push(op);
-                if op == Op::AddVertex {
-                    fast.pending_vertices += 1;
-                    slow.pending_vertices += 1;
-                }
-            }
+            batch(&mut fast).unwrap();
+            batch(&mut slow).unwrap();
             let a = fast.commit().unwrap();
             let b = slow.commit_rebuild().unwrap();
             assert_eq!(a, b);

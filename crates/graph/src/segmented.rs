@@ -46,6 +46,9 @@
 //! compaction rebuild the store — an explicit O(n + m) event that
 //! reassigns every edge id (reported via [`SegCommitDelta::edge_remap`]),
 //! just as shrink batches take the rebuild path on [`crate::MutableGraph`].
+//! The mutation batch (queue checks, overlay resolution, identifier rule,
+//! shrink replay) is [`crate::MutableGraph`]'s; this store adds only the
+//! segment splice with its stable-id assignment and a rebuild's id remap.
 //!
 //! # Byte accounting
 //!
@@ -57,12 +60,9 @@
 //! [`Graph::full_rewrite_bytes`] in the same currency, which is what the
 //! `pr7_segments` bench compares.
 
+use crate::batch::{self, Batch, Resolved};
 use crate::{EdgeIdx, Graph, GraphError, Vertex};
 use deco_probe::{Event, Probe};
-// tidy: allow(hash-iter) — commit replay uses hash containers only for
-// membership and per-pair overlay flags; every iteration result is
-// sorted (sort_unstable) before it can reach deltas or segments.
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Tombstone in the endpoint table for a freed edge id.
@@ -78,16 +78,6 @@ const EXT_BYTES: usize = 16;
 const MIRROR_BYTES: usize = 8;
 /// Bytes one identifier write costs.
 const IDENT_BYTES: usize = 8;
-
-/// One queued mutation (same repertoire as [`crate::MutableGraph`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Op {
-    Insert(u32, u32),
-    Delete(u32, u32),
-    AddVertex,
-    SetIdent(u32, u64),
-    Shrink,
-}
 
 /// The per-vertex indirection record of the segmented layout: vertex `v`
 /// owns arena positions `start..start + len`, with `cap - len` slack slots
@@ -113,7 +103,8 @@ pub struct SegExtent {
 /// lexicographic edge index shifts), stable ids make the delta sparse:
 /// only [`SegCommitDelta::freed_ids`] and [`SegCommitDelta::inserted_ids`]
 /// change, everything else keeps its id and its per-edge state in place.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The default value is the empty batch's delta.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SegCommitDelta {
     /// Net inserted edges, normalized `(u, v)` with `u < v`, sorted, in
     /// the post-commit numbering.
@@ -200,8 +191,8 @@ pub struct SegmentedGraph {
     epoch: u32,
     /// Arena capacity leaked by relocated segments (diagnostics).
     dead_slots: usize,
-    pending: Vec<Op>,
-    pending_vertices: usize,
+    /// Queued, not-yet-committed operations.
+    batch: Batch,
     /// Observability sink: both commit paths emit one
     /// [`Event::CommitBytes`] per non-empty batch (default: disabled).
     probe: Arc<dyn Probe>,
@@ -245,8 +236,7 @@ impl SegmentedGraph {
             max_degree: g.max_degree(),
             epoch: 0,
             dead_slots: 0,
-            pending: Vec::new(),
-            pending_vertices: 0,
+            batch: Batch::default(),
             probe: deco_probe::null(),
         }
     }
@@ -465,12 +455,12 @@ impl SegmentedGraph {
     /// Number of vertices the next commit will have (committed + pending),
     /// ignoring queued shrink compactions.
     pub fn next_n(&self) -> usize {
-        self.n + self.pending_vertices
+        self.n + self.batch.added()
     }
 
     /// Number of queued, uncommitted operations.
     pub fn pending_ops(&self) -> usize {
-        self.pending.len()
+        self.batch.len()
     }
 
     /// Queues insertion of the undirected edge `(u, v)`; existence is
@@ -481,9 +471,7 @@ impl SegmentedGraph {
     ///
     /// Returns [`GraphError`] for out-of-range endpoints or self-loops.
     pub fn insert_edge(&mut self, u: Vertex, v: Vertex) -> Result<(), GraphError> {
-        let (u, v) = self.check_pair(u, v)?;
-        self.pending.push(Op::Insert(u, v));
-        Ok(())
+        self.batch.insert(self.n, u, v)
     }
 
     /// Queues deletion of the undirected edge `(u, v)`; existence is
@@ -493,18 +481,14 @@ impl SegmentedGraph {
     ///
     /// Returns [`GraphError`] for out-of-range endpoints or self-loops.
     pub fn delete_edge(&mut self, u: Vertex, v: Vertex) -> Result<(), GraphError> {
-        let (u, v) = self.check_pair(u, v)?;
-        self.pending.push(Op::Delete(u, v));
-        Ok(())
+        self.batch.delete(self.n, u, v)
     }
 
     /// Queues addition of one vertex and returns its index (usable as an
     /// endpoint within this batch). Default identifiers follow the same
     /// smallest-unused rule as [`crate::MutableGraph::add_vertex`].
     pub fn add_vertex(&mut self) -> Vertex {
-        self.pending.push(Op::AddVertex);
-        self.pending_vertices += 1;
-        self.next_n() - 1
+        self.batch.add_vertex(self.n)
     }
 
     /// Queues an identifier override for `v`; distinctness is validated at
@@ -515,11 +499,7 @@ impl SegmentedGraph {
     /// Returns [`GraphError`] if `v` is out of range for the post-batch
     /// vertex count.
     pub fn set_ident(&mut self, v: Vertex, ident: u64) -> Result<(), GraphError> {
-        if v >= self.next_n() {
-            return Err(GraphError::VertexOutOfRange { vertex: v, n: self.next_n() });
-        }
-        self.pending.push(Op::SetIdent(v as u32, ident));
-        Ok(())
+        self.batch.set_ident(self.n, v, ident)
     }
 
     /// Queues a shrink compaction (see
@@ -528,27 +508,12 @@ impl SegmentedGraph {
     /// reassigns every edge id, reclaims [`SegmentedGraph::dead_slots`]
     /// and reports the reassignment via [`SegCommitDelta::edge_remap`].
     pub fn shrink_isolated(&mut self) {
-        self.pending.push(Op::Shrink);
+        self.batch.shrink();
     }
 
     /// Discards all queued operations, keeping the committed state.
     pub fn discard_pending(&mut self) {
-        self.pending.clear();
-        self.pending_vertices = 0;
-    }
-
-    fn check_pair(&self, u: Vertex, v: Vertex) -> Result<(u32, u32), GraphError> {
-        let n = self.next_n();
-        if u >= n {
-            return Err(GraphError::VertexOutOfRange { vertex: u, n });
-        }
-        if v >= n {
-            return Err(GraphError::VertexOutOfRange { vertex: v, n });
-        }
-        if u == v {
-            return Err(GraphError::SelfLoop { vertex: u });
-        }
-        Ok(if u < v { (u as u32, v as u32) } else { (v as u32, u as u32) })
+        self.batch.clear();
     }
 
     /// Applies the queued batch atomically, writing only the segments of
@@ -562,123 +527,24 @@ impl SegmentedGraph {
     /// Exactly the conditions of [`crate::MutableGraph::commit`] — on
     /// error the committed state is untouched and the batch is discarded.
     pub fn commit(&mut self) -> Result<SegCommitDelta, GraphError> {
-        if self.pending.is_empty() {
-            return Ok(SegCommitDelta {
-                inserted: Vec::new(),
-                deleted: Vec::new(),
-                inserted_ids: Vec::new(),
-                freed_ids: Vec::new(),
-                added_vertices: 0,
-                removed_vertices: 0,
-                edge_remap: None,
-                vertex_map: None,
-                commit_bytes: 0,
-            });
+        if self.batch.is_empty() {
+            return Ok(SegCommitDelta::default());
         }
-        if self.pending.contains(&Op::Shrink) {
-            return self.commit_shrink_rebuild();
-        }
-        let added_vertices = self.pending_vertices;
-        let n_new = self.n + added_vertices;
-        // Replay against a sparse overlay of touched pairs — same
-        // validation, same error order as `MutableGraph::commit`.
-        // tidy: allow(hash-iter) — iterated once below, then sorted
-        // (sort_unstable) before anything reads the delta.
-        let mut overlay: HashMap<(u32, u32), (bool, bool)> = HashMap::new();
-        let mut ident_ops: Vec<(usize, u64)> = Vec::new();
-        let mut replay = || -> Result<(), GraphError> {
-            for &op in &self.pending {
-                match op {
-                    Op::Insert(u, v) => {
-                        let slot = overlay.entry((u, v)).or_insert_with(|| {
-                            let was = self.has_edge(u as usize, v as usize);
-                            (was, was)
-                        });
-                        if slot.1 {
-                            return Err(GraphError::DuplicateEdge { u: u as usize, v: v as usize });
-                        }
-                        slot.1 = true;
-                    }
-                    Op::Delete(u, v) => {
-                        let slot = overlay.entry((u, v)).or_insert_with(|| {
-                            let was = self.has_edge(u as usize, v as usize);
-                            (was, was)
-                        });
-                        if !slot.1 {
-                            return Err(GraphError::MissingEdge { u: u as usize, v: v as usize });
-                        }
-                        slot.1 = false;
-                    }
-                    Op::AddVertex => {}
-                    Op::SetIdent(v, ident) => ident_ops.push((v as usize, ident)),
-                    // INVARIANT: shrink batches are routed to the rebuild path above, so apply never sees one.
-                    Op::Shrink => unreachable!("shrink batches take the rebuild path"),
-                }
-            }
-            Ok(())
-        };
-        if let Err(e) = replay() {
-            self.discard_pending();
-            return Err(e);
-        }
-        let mut inserted: Vec<(Vertex, Vertex)> = Vec::new();
-        let mut deleted: Vec<(Vertex, Vertex)> = Vec::new();
-        for (&(u, v), &(was, now)) in &overlay {
-            match (was, now) {
-                (false, true) => inserted.push((u as usize, v as usize)),
-                (true, false) => deleted.push((u as usize, v as usize)),
-                _ => {}
-            }
-        }
-        inserted.sort_unstable();
-        deleted.sort_unstable();
-        // Identifiers: the same conservative default rule as both
-        // `MutableGraph` paths, so all three engines assign identical
-        // defaults.
-        let mut idents = self.idents.clone();
-        let mut ident_writes = 0usize;
-        if added_vertices > 0 {
-            // tidy: allow(hash-iter) — membership probes only; candidate
-            // identifiers come from the deterministic `index + 1` walk.
-            let mut used: HashSet<u64> = idents.iter().copied().collect();
-            for &op in &self.pending {
-                match op {
-                    Op::AddVertex => {
-                        let mut c = idents.len() as u64 + 1;
-                        while !used.insert(c) {
-                            c += 1;
-                        }
-                        idents.push(c);
-                        ident_writes += 1;
-                    }
-                    Op::SetIdent(v, ident) => {
-                        used.insert(ident);
-                        idents[v as usize] = ident;
-                        ident_writes += 1;
-                    }
-                    _ => {}
-                }
-            }
+        let out = if self.batch.has_shrink() {
+            self.commit_shrink_rebuild()
         } else {
-            for &(v, ident) in &ident_ops {
-                idents[v] = ident;
-                ident_writes += 1;
-            }
-        }
-        debug_assert_eq!(idents.len(), n_new);
-        // Distinctness revalidation mirrors `Graph::patched`: only when
-        // identifiers changed (reporting the first duplicate in sorted
-        // order, the same error the oracle paths raise).
-        if idents[..self.n] != self.idents[..] || added_vertices > 0 {
-            let mut sorted = idents.clone();
-            sorted.sort_unstable();
-            for w in sorted.windows(2) {
-                if w[0] == w[1] {
-                    self.discard_pending();
-                    return Err(GraphError::DuplicateIdent { ident: w[0] });
-                }
-            }
-        }
+            self.commit_splice()
+        };
+        self.batch.clear();
+        out
+    }
+
+    /// The ordinary commit: resolve the batch through the overlay, then
+    /// splice the touched segments.
+    fn commit_splice(&mut self) -> Result<SegCommitDelta, GraphError> {
+        let Resolved { inserted, deleted, added_vertices, idents, ident_writes } =
+            self.batch.resolve(&self.idents, |u, v| self.has_edge(u, v))?;
+        batch::check_idents(&self.idents, &idents)?;
 
         // Everything validated; all mutations below are infallible.
         let epoch = self.epoch.wrapping_add(1);
@@ -688,7 +554,7 @@ impl SegmentedGraph {
             self.bump_hist(0, 1);
             bytes += EXT_BYTES;
         }
-        self.n = n_new;
+        self.n += added_vertices;
 
         // Edge id assignment: free deleted ids first (in sorted-pair
         // order), then serve inserts LIFO — freed ids of this very batch
@@ -724,20 +590,7 @@ impl SegmentedGraph {
             "graph too large for u32 edge ids and arena positions"
         );
 
-        // Directed patch lists, sorted by (owner, neighbor): each touched
-        // vertex's additions and removals form one contiguous window.
-        let mut add_adj: Vec<(u32, u32, u32)> = Vec::with_capacity(2 * inserted.len());
-        for (i, &(u, v)) in inserted.iter().enumerate() {
-            add_adj.push((u as u32, v as u32, inserted_ids[i]));
-            add_adj.push((v as u32, u as u32, inserted_ids[i]));
-        }
-        add_adj.sort_unstable();
-        let mut del_adj: Vec<(u32, u32)> = Vec::with_capacity(2 * deleted.len());
-        for &(u, v) in &deleted {
-            del_adj.push((u as u32, v as u32));
-            del_adj.push((v as u32, u as u32));
-        }
-        del_adj.sort_unstable();
+        let (add_adj, del_adj) = batch::patch_lists(&inserted, &inserted_ids, &deleted);
 
         // Phase A: splice each touched vertex's segment — merge the old
         // entries minus deletions with the insertions, in neighbor order.
@@ -837,7 +690,6 @@ impl SegmentedGraph {
         self.idents = idents;
         bytes += IDENT_BYTES * ident_writes;
         self.epoch = epoch;
-        self.discard_pending();
         self.emit_commit_bytes(bytes);
         Ok(SegCommitDelta {
             inserted,
@@ -845,10 +697,8 @@ impl SegmentedGraph {
             inserted_ids,
             freed_ids,
             added_vertices,
-            removed_vertices: 0,
-            edge_remap: None,
-            vertex_map: None,
             commit_bytes: bytes,
+            ..SegCommitDelta::default()
         })
     }
 
@@ -859,150 +709,37 @@ impl SegmentedGraph {
     /// lexicographic rank and reclaiming all dead arena slots — and report
     /// the id reassignment via [`SegCommitDelta::edge_remap`].
     fn commit_shrink_rebuild(&mut self) -> Result<SegCommitDelta, GraphError> {
-        let added_vertices = self.pending_vertices;
-        let mut n_cur = self.n;
-        // tidy: allow(hash-iter) — membership probes during queue-order
-        // replay; the rebuilt edge list is re-derived in sorted order.
-        let mut set: HashSet<(u32, u32)> =
-            self.edges_with_ids().map(|(_, (u, v))| (u as u32, v as u32)).collect();
-        let mut idents: Vec<u64> = self.idents.clone();
-        // tidy: allow(hash-iter) — membership probes only, as above.
-        let mut used_idents: Option<HashSet<u64>> =
-            (added_vertices > 0).then(|| idents.iter().copied().collect());
-        let mut back_to_old: Vec<Option<Vertex>> = (0..n_cur).map(Some).collect();
-        let mut removed_vertices = 0usize;
-        let mut renumbered = false;
-        let mut replay = || -> Result<(), GraphError> {
-            for &op in &self.pending {
-                match op {
-                    Op::Insert(u, v) => {
-                        check_cur_pair(u, v, n_cur)?;
-                        if !set.insert((u, v)) {
-                            return Err(GraphError::DuplicateEdge { u: u as usize, v: v as usize });
-                        }
-                    }
-                    Op::Delete(u, v) => {
-                        check_cur_pair(u, v, n_cur)?;
-                        if !set.remove(&(u, v)) {
-                            return Err(GraphError::MissingEdge { u: u as usize, v: v as usize });
-                        }
-                    }
-                    Op::AddVertex => {
-                        // INVARIANT: used_idents is initialized whenever the batch contains adds, checked just above.
-                        let used = used_idents.as_mut().expect("adds imply the set exists");
-                        let mut c = idents.len() as u64 + 1;
-                        while !used.insert(c) {
-                            c += 1;
-                        }
-                        idents.push(c);
-                        back_to_old.push(None);
-                        n_cur += 1;
-                    }
-                    Op::SetIdent(v, ident) => {
-                        if (v as usize) >= n_cur {
-                            return Err(GraphError::VertexOutOfRange {
-                                vertex: v as usize,
-                                n: n_cur,
-                            });
-                        }
-                        if let Some(used) = used_idents.as_mut() {
-                            used.insert(ident);
-                        }
-                        idents[v as usize] = ident;
-                    }
-                    Op::Shrink => {
-                        let mut connected = vec![false; n_cur];
-                        for &(u, v) in &set {
-                            connected[u as usize] = true;
-                            connected[v as usize] = true;
-                        }
-                        let keep: Vec<usize> = (0..n_cur).filter(|&v| connected[v]).collect();
-                        if keep.len() == n_cur {
-                            continue;
-                        }
-                        let mut remap = vec![u32::MAX; n_cur];
-                        for (new, &old_v) in keep.iter().enumerate() {
-                            remap[old_v] = new as u32;
-                        }
-                        set = set
-                            .iter()
-                            .map(|&(u, v)| (remap[u as usize], remap[v as usize]))
-                            .collect();
-                        idents = keep.iter().map(|&v| idents[v]).collect();
-                        back_to_old = keep.iter().map(|&v| back_to_old[v]).collect();
-                        removed_vertices += n_cur - keep.len();
-                        renumbered = true;
-                        n_cur = keep.len();
-                    }
-                }
-            }
-            Ok(())
-        };
-        if let Err(e) = replay() {
-            self.discard_pending();
-            return Err(e);
-        }
-        let mut edges: Vec<(usize, usize)> =
-            set.into_iter().map(|(u, v)| (u as usize, v as usize)).collect();
-        edges.sort_unstable();
-        let graph = match Graph::from_edges(n_cur, &edges).and_then(|g| g.with_idents(idents)) {
-            Ok(g) => g,
-            Err(e) => {
-                self.discard_pending();
-                return Err(e);
-            }
-        };
+        let edges = self.edges_with_ids().map(|(_, pair)| pair);
+        let rebuilt = self.batch.replay(self.n, edges, &self.idents)?;
         // Delta against the *old* store: match each new edge back through
-        // the vertex map, reassigning ids to lexicographic ranks.
+        // the vertex map; the new ids are lexicographic ranks.
         let old_bound = self.ends.len();
+        let matched =
+            rebuilt.match_back(old_bound, self.edges_with_ids(), |u, v| self.edge_between(u, v));
         let mut edge_remap = vec![Graph::NO_EDGE_ORIGIN; old_bound];
-        let mut survived = vec![false; old_bound];
-        let mut inserted = Vec::new();
         let mut inserted_ids = Vec::new();
-        for (e, (u, v)) in graph.edges().enumerate() {
-            let carried = match (back_to_old[u], back_to_old[v]) {
-                (Some(bu), Some(bv)) => self.edge_between(bu, bv),
-                _ => None,
-            };
-            match carried {
-                Some(old_id) => {
-                    edge_remap[old_id] = e as u32;
-                    survived[old_id] = true;
-                }
-                None => {
-                    inserted.push((u, v));
-                    inserted_ids.push(e as u32);
-                }
+        for (e, &old_id) in matched.origin.iter().enumerate() {
+            match old_id {
+                Graph::NO_EDGE_ORIGIN => inserted_ids.push(e as u32),
+                old_id => edge_remap[old_id as usize] = e as u32,
             }
         }
-        // Deleted pairs in the old numbering, in endpoint-pair order (the
-        // order the oracle's lexicographic edge walk reports them in).
-        let mut old_pairs: Vec<(u32, u32, u32)> = self
-            .edges_with_ids()
-            .filter(|&(id, _)| !survived[id])
-            .map(|(id, (u, v))| (u as u32, v as u32, id as u32))
-            .collect();
-        old_pairs.sort_unstable();
-        let deleted: Vec<(Vertex, Vertex)> =
-            old_pairs.iter().map(|&(u, v, _)| (u as Vertex, v as Vertex)).collect();
-        let freed_ids: Vec<u32> = old_pairs.iter().map(|&(_, _, id)| id).collect();
-
+        let graph = &rebuilt.graph;
         let commit_bytes = Graph::full_rewrite_bytes(graph.n(), graph.m());
-        let epoch = self.epoch.wrapping_add(1);
-        let probe = Arc::clone(&self.probe);
-        *self = SegmentedGraph::from_graph(&graph);
-        self.epoch = epoch;
-        self.probe = probe;
+        let old = std::mem::replace(self, SegmentedGraph::from_graph(graph));
+        self.epoch = old.epoch.wrapping_add(1);
+        self.probe = old.probe;
+        self.batch = old.batch;
         self.emit_commit_bytes(commit_bytes);
         Ok(SegCommitDelta {
-            inserted,
-            deleted,
+            inserted: matched.inserted,
+            deleted: matched.deleted,
             inserted_ids,
-            freed_ids,
-            added_vertices,
-            removed_vertices,
+            freed_ids: matched.freed,
+            added_vertices: rebuilt.added_vertices,
+            removed_vertices: rebuilt.removed_vertices,
             edge_remap: Some(edge_remap),
-            vertex_map: renumbered.then_some(back_to_old),
+            vertex_map: (rebuilt.removed_vertices > 0).then_some(rebuilt.back),
             commit_bytes,
         })
     }
@@ -1080,17 +817,6 @@ impl SegmentedGraph {
         }
         assert_eq!(hist, self.deg_hist, "degree histogram drifted");
     }
-}
-
-/// Range check against the *current* (possibly shrunk) vertex count during
-/// rebuild replay — identical to the `MutableGraph` rebuild check.
-fn check_cur_pair(u: u32, v: u32, n_cur: usize) -> Result<(), GraphError> {
-    for w in [u, v] {
-        if (w as usize) >= n_cur {
-            return Err(GraphError::VertexOutOfRange { vertex: w as usize, n: n_cur });
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

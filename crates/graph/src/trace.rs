@@ -191,9 +191,11 @@ pub fn to_text(trace: &Trace) -> String {
 
 /// Parses the trace format described in the module docs.
 ///
-/// Structural validity only (tags and integer fields); range and existence
-/// checks belong to the replaying [`MutableGraph`](crate::MutableGraph),
-/// which knows the evolving topology.
+/// Structural validity (tags and integer fields) plus one size bound: the
+/// `t` count plus all `v` counts so far may not exceed `u32::MAX`, since
+/// both graph stores address vertices as `u32`. Range and existence checks
+/// belong to the replaying [`MutableGraph`](crate::MutableGraph), which
+/// knows the evolving topology.
 ///
 /// # Errors
 ///
@@ -212,6 +214,7 @@ pub fn to_text(trace: &Trace) -> String {
 /// ```
 pub fn parse_trace(text: &str) -> Result<Trace, ParseTraceError> {
     let mut n0: Option<usize> = None;
+    let mut vertices = 0u64;
     let mut ops = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
@@ -228,12 +231,20 @@ pub fn parse_trace(text: &str) -> Result<Trace, ParseTraceError> {
                 what: format!("expected {what}"),
             })
         };
+        let mut grow = |k: u64| -> Result<usize, ParseTraceError> {
+            vertices = vertices.saturating_add(k);
+            if vertices > u64::from(u32::MAX) {
+                let what = format!("vertex count exceeds {}", u32::MAX);
+                return Err(ParseTraceError::BadLine { line: line_no, what });
+            }
+            Ok(k as usize)
+        };
         match tag {
             "t" => {
                 if n0.is_some() {
                     return Err(ParseTraceError::BadHeader);
                 }
-                n0 = Some(next_num("vertex count")? as usize);
+                n0 = Some(grow(next_num("vertex count")?)?);
                 continue;
             }
             "+" => ops.push(TraceOp::Insert(
@@ -244,7 +255,7 @@ pub fn parse_trace(text: &str) -> Result<Trace, ParseTraceError> {
                 next_num("endpoint")? as usize,
                 next_num("endpoint")? as usize,
             )),
-            "v" => ops.push(TraceOp::AddVertices(next_num("vertex count")? as usize)),
+            "v" => ops.push(TraceOp::AddVertices(grow(next_num("vertex count")?)?)),
             "i" => {
                 ops.push(TraceOp::SetIdent(next_num("vertex")? as usize, next_num("identifier")?))
             }
@@ -483,6 +494,11 @@ mod tests {
             parse_trace("t 2\ne 0 1\n"),
             Err(ParseTraceError::BadLine { line: 2, .. })
         ));
+        // Vertex counts past u32::MAX could never commit.
+        for text in ["t 18446744073709551615\n", "t 4294967296\n", "t 4294967295\nv 1\n"] {
+            assert!(matches!(parse_trace(text), Err(ParseTraceError::BadLine { .. })), "{text}");
+        }
+        assert_eq!(parse_trace("t 4294967295\n").map(|t| t.n0), Ok(u32::MAX as usize));
         let e = parse_trace("t 2\n+ 0\n").unwrap_err();
         assert!(e.to_string().contains("line 2"));
     }

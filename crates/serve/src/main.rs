@@ -13,7 +13,8 @@
 //!     not move.
 //! ```
 
-use deco_graph::trace::churn_trace;
+use deco_graph::generators::random_bounded_degree;
+use deco_graph::trace::{churn_trace_from, Trace};
 use deco_serve::{EngineKind, Serve, ServeConfig, TenantSpec};
 use std::process::ExitCode;
 
@@ -39,6 +40,8 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
+/// Parses the flags; `None` on an unknown flag or a missing or
+/// non-numeric value.
 fn parse(args: &[String]) -> Option<Args> {
     let mut out = Args {
         tenants: 64,
@@ -81,10 +84,37 @@ fn parse(args: &[String]) -> Option<Args> {
     Some(out)
 }
 
+/// Each tenant's seeded churn trace: exactly `churn_trace(n, cap, commits,
+/// n / 12 + 1, seed ^ tenant)`, or an error where that would panic (a cap
+/// not below `n`, or more churn than the tenant's base graph has edges).
+fn fleet_traces(args: &Args) -> Result<Vec<Trace>, String> {
+    if args.cap >= args.n {
+        return Err(format!("--cap {} must be below --n {}", args.cap, args.n));
+    }
+    let churn = args.n / 12 + 1;
+    (0..args.tenants)
+        .map(|i| {
+            let seed = args.seed ^ i as u64;
+            let base = random_bounded_degree(args.n, args.cap, seed);
+            if args.commits > 0 && churn > base.m() {
+                return Err(format!("tenant {i}: churn {churn} exceeds its {} edges", base.m()));
+            }
+            Ok(churn_trace_from(&base, args.cap, args.commits, churn, seed))
+        })
+        .collect()
+}
+
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let Some(args) = parse(&raw) else {
         return usage();
+    };
+    let traces = match fleet_traces(&args) {
+        Ok(traces) => traces,
+        Err(e) => {
+            eprintln!("deco-serve: {e}");
+            return ExitCode::FAILURE;
+        }
     };
     let cfg = ServeConfig::default()
         .with_shards(args.shards)
@@ -98,9 +128,6 @@ fn main() -> ExitCode {
 
     // Register the fleet: per-tenant seeded traces, engines alternating
     // unless pinned.
-    let traces: Vec<_> = (0..args.tenants)
-        .map(|i| churn_trace(args.n, args.cap, args.commits, args.n / 12 + 1, args.seed ^ i as u64))
-        .collect();
     let ids: Vec<_> = match traces
         .iter()
         .enumerate()
@@ -186,4 +213,42 @@ fn main() -> ExitCode {
     );
     println!("fleet fingerprint {fingerprint:016x} (shard-count-invariant)");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use deco_graph::trace::churn_trace;
+
+    fn parse_line(line: &str) -> Option<Args> {
+        parse(&line.split_whitespace().map(String::from).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parse_reads_flags_and_rejects_bad_ones() {
+        let a = parse_line("--tenants 3 --shards 2 --n 20 --cap 5 --engine legacy --verbose")
+            .expect("valid flags");
+        assert_eq!((a.tenants, a.shards, a.n, a.cap, a.verbose), (3, 2, 20, 5, true));
+        assert!(matches!(a.engine, Some(EngineKind::Legacy)));
+        assert!(parse_line("").is_some(), "defaults are valid");
+        assert!(parse_line("--tenants").is_none(), "missing value");
+        assert!(parse_line("--seed x").is_none(), "non-numeric value");
+        assert!(parse_line("--bogus 1").is_none(), "unknown flag");
+        assert!(parse_line("--engine fast").is_none(), "unknown engine");
+    }
+
+    #[test]
+    fn fleet_traces_check_the_generator_arguments() {
+        let a = parse_line("--tenants 2 --n 24 --cap 3 --commits 2 --seed 9").expect("valid");
+        let traces = fleet_traces(&a).expect("churn fits");
+        for (i, t) in traces.iter().enumerate() {
+            assert_eq!(*t, churn_trace(24, 3, 2, 24 / 12 + 1, 9 ^ i as u64));
+        }
+        for bad in ["--n 4 --cap 8", "--n 4 --cap 4"] {
+            let a = parse_line(bad).expect("well-formed flags");
+            assert!(fleet_traces(&a).unwrap_err().contains("below"), "{bad}");
+        }
+        let a = parse_line("--tenants 1 --n 24 --cap 0").expect("well-formed flags");
+        assert!(fleet_traces(&a).unwrap_err().contains("churn"));
+    }
 }

@@ -61,8 +61,7 @@ pub use recolor::{
     repair_phase, CommitReport, RecolorEngine, Recolorer, RepairStrategy, SegRecolorer,
 };
 pub use replay::{
-    queue_op, replay_trace, replay_trace_on, replay_trace_probed, ReplayError, ReplayOutcome,
-    ReplayRun,
+    replay_trace, replay_trace_on, replay_trace_probed, ReplayError, ReplayOutcome, ReplayRun,
 };
 
 // The configuration vocabulary ([`RecolorConfig::with_transport`] /

@@ -18,7 +18,8 @@
 //! ```
 
 use deco_core::edge::legal::{edge_log_depth, MessageMode};
-use deco_graph::trace::{churn_trace, parse_trace, to_text};
+use deco_graph::generators::random_bounded_degree;
+use deco_graph::trace::{churn_trace_from, parse_trace, to_text, Trace};
 use deco_probe::JsonlProbe;
 use deco_stream::{replay_trace_on, RecolorConfig, Recolorer, RegionRecolor, SegRecolorer};
 use std::process::ExitCode;
@@ -42,12 +43,36 @@ fn main() -> ExitCode {
     }
 }
 
-fn generate(args: &[String]) -> ExitCode {
+/// Parses `--gen`'s five numbers and generates the trace, rejecting the
+/// arguments the generator would panic on. The trace is exactly
+/// `churn_trace(n, delta_cap, commits, churn, seed)`.
+fn gen_trace(args: &[String]) -> Result<Trace, String> {
     let nums: Vec<u64> = args.iter().take(5).filter_map(|a| a.parse().ok()).collect();
     let [n, delta_cap, commits, churn, seed] = nums[..] else {
-        return usage();
+        return Err("--gen takes five numbers".to_string());
     };
-    let trace = churn_trace(n as usize, delta_cap as usize, commits as usize, churn as usize, seed);
+    let [n, delta_cap, commits, churn] = [n, delta_cap, commits, churn].map(|x| x as usize);
+    if n > u32::MAX as usize {
+        return Err(format!("n = {n} exceeds the u32 vertex range"));
+    }
+    if delta_cap >= n {
+        return Err(format!("delta_cap = {delta_cap} must be below n = {n}"));
+    }
+    let base = random_bounded_degree(n, delta_cap, seed);
+    if commits > 0 && churn > base.m() {
+        return Err(format!("churn = {churn} exceeds the base graph's {} edges", base.m()));
+    }
+    Ok(churn_trace_from(&base, delta_cap, commits, churn, seed))
+}
+
+fn generate(args: &[String]) -> ExitCode {
+    let trace = match gen_trace(args) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("deco-stream: {e}");
+            return usage();
+        }
+    };
     let text = to_text(&trace);
     match args.get(5) {
         Some(path) => {
@@ -56,8 +81,12 @@ fn generate(args: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             }
             println!(
-                "wrote {path}: n={n} Δ≤{delta_cap}, {} commits ({commits} churn × {churn} edges)",
-                trace.commit_count()
+                "wrote {path}: n={} Δ≤{}, {} commits ({} churn × {} edges)",
+                trace.n0,
+                args[1],
+                trace.commit_count(),
+                args[2],
+                args[3]
             );
         }
         None => print!("{text}"),
@@ -188,4 +217,27 @@ fn replay(path: &str, rest: &[String]) -> ExitCode {
         eprintln!("profile events written to {p} (summarize with: deco-probe report {p})");
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use deco_graph::trace::churn_trace;
+
+    fn gen(line: &str) -> Result<Trace, String> {
+        gen_trace(&line.split_whitespace().map(String::from).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn gen_arguments_are_checked_before_generating() {
+        assert_eq!(gen("40 4 3 5 7"), Ok(churn_trace(40, 4, 3, 5, 7)));
+        assert!(gen("40 4 3 5").is_err(), "four numbers");
+        assert!(gen("40 x 3 5 7").is_err(), "not a number");
+        assert!(gen("4 8 2 1 7").unwrap_err().contains("below n"));
+        assert!(gen("4 4 2 1 7").unwrap_err().contains("below n"));
+        assert!(gen("4294967296 8 2 1 7").unwrap_err().contains("u32"));
+        assert!(gen("10 2 3 1000 7").unwrap_err().contains("churn"));
+        // Without churn commits, any churn is harmless.
+        assert_eq!(gen("10 2 0 1000 7"), Ok(churn_trace(10, 2, 0, 1000, 7)));
+    }
 }

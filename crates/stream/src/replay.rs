@@ -6,7 +6,7 @@ use crate::facade::RegionRecolor;
 use crate::recolor::{CommitReport, Recolorer};
 use deco_core::edge::legal::MessageMode;
 use deco_core::params::{LegalParams, ParamError};
-use deco_graph::trace::{Trace, TraceOp};
+use deco_graph::trace::Trace;
 use deco_graph::GraphError;
 use deco_probe::{Event, Probe};
 use std::error::Error;
@@ -70,18 +70,6 @@ pub struct ReplayRun {
     /// Wall time of each commit (repair included), aligned with `reports`.
     /// Excluded from the determinism contract, obviously.
     pub wall: Vec<Duration>,
-}
-
-/// Queues one trace operation on any engine (a thin forwarder to
-/// [`RegionRecolor::queue_op`], kept for source compatibility — callers
-/// holding a concrete [`Recolorer`] or
-/// [`SegRecolorer`](crate::SegRecolorer) coerce here unchanged).
-///
-/// # Errors
-///
-/// Returns [`GraphError`] exactly when the underlying queueing call does.
-pub fn queue_op(r: &mut dyn RegionRecolor, op: TraceOp) -> Result<(), GraphError> {
-    r.queue_op(op)
 }
 
 /// Replays every committed batch of `trace` through a caller-supplied

@@ -193,7 +193,7 @@ fn early_halting_bit_identical_across_thread_and_delivery_matrix() {
 fn early_halting_off_recolorer_matches_default() {
     use deco_core::edge::legal::{edge_log_depth, MessageMode};
     use deco_graph::trace::churn_trace;
-    use deco_stream::{queue_op, RecolorConfig, Recolorer};
+    use deco_stream::{RecolorConfig, Recolorer, RegionRecolor};
 
     let trace = churn_trace(800, 8, 3, 20, 0x0ff);
     let params = edge_log_depth(1);
@@ -207,8 +207,8 @@ fn early_halting_off_recolorer_matches_default() {
     .unwrap();
     for batch in trace.batches() {
         for &op in batch {
-            queue_op(&mut on, op).unwrap();
-            queue_op(&mut off, op).unwrap();
+            on.queue_op(op).unwrap();
+            off.queue_op(op).unwrap();
         }
         let a = on.commit().unwrap();
         let b = off.commit().unwrap();

@@ -8,7 +8,7 @@
 use deco_core::edge::legal::{edge_log_depth, MessageMode};
 use deco_graph::trace::{churn_trace, Trace};
 use deco_stream::{
-    queue_op, replay_trace_on, CommitReport, RecolorConfig, Recolorer, RegionRecolor, SegRecolorer,
+    replay_trace_on, CommitReport, RecolorConfig, Recolorer, RegionRecolor, SegRecolorer,
 };
 
 const THRESHOLD: u32 = 25;
@@ -20,7 +20,7 @@ fn run_direct_legacy(trace: &Trace) -> (Vec<CommitReport>, Vec<u64>) {
     let mut reports = Vec::new();
     for batch in trace.batches() {
         for &op in batch {
-            queue_op(&mut r, op).unwrap();
+            r.queue_op(op).unwrap();
         }
         reports.push(r.commit().unwrap());
     }

@@ -302,7 +302,7 @@ fn edge_defective_bound() {
 fn stream_recoloring_valid_after_every_commit() {
     use deco_core::edge::legal::edge_color_bound;
     use deco_graph::trace::churn_trace;
-    use deco_stream::{queue_op, RecolorConfig, Recolorer};
+    use deco_stream::{RecolorConfig, Recolorer, RegionRecolor};
 
     for i in 0..12u64 {
         let n = 24 + (aux(i, 12) % 120) as usize;
@@ -320,7 +320,7 @@ fn stream_recoloring_valid_after_every_commit() {
         .unwrap();
         for (c, batch) in trace.batches().into_iter().enumerate() {
             for &op in batch {
-                queue_op(&mut r, op).unwrap();
+                r.queue_op(op).unwrap();
             }
             r.commit().unwrap();
             let g = r.graph();

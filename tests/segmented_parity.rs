@@ -24,7 +24,9 @@
 use deco_core::edge::legal::{edge_log_depth, MessageMode};
 use deco_graph::trace::{churn_trace, power_law_churn_trace, Trace};
 use deco_graph::{generators, Graph};
-use deco_stream::{queue_op, FaultyTransport, RecolorConfig, Recolorer, SegRecolorer, Transport};
+use deco_stream::{
+    FaultyTransport, RecolorConfig, Recolorer, RegionRecolor, SegRecolorer, Transport,
+};
 use std::sync::Arc;
 
 /// Replays `trace` through both engines, asserting the parity contract
@@ -40,8 +42,8 @@ fn run_parity(
     let (mut legacy_bytes, mut seg_bytes) = (0usize, 0usize);
     for (ci, batch) in trace.batches().into_iter().enumerate() {
         for &op in batch {
-            queue_op(&mut legacy, op).unwrap();
-            queue_op(&mut seg, op).unwrap();
+            legacy.queue_op(op).unwrap();
+            seg.queue_op(op).unwrap();
         }
         let a = legacy.commit().unwrap();
         let b = seg.commit().unwrap();
@@ -165,7 +167,7 @@ fn power_law_churn_keeps_long_mode_hot_and_in_parity() {
     let mut check = SegRecolorer::new(trace.n0, edge_log_depth(1), MessageMode::Long).unwrap();
     for batch in trace.batches() {
         for &op in batch {
-            queue_op(&mut check, op).unwrap();
+            check.queue_op(op).unwrap();
         }
         check.commit().unwrap();
         assert!(check.segmented().max_degree() > 48, "power-law trace must keep Δ above λ = 48");

@@ -14,7 +14,7 @@
 use deco_core::edge::legal::{edge_color, edge_color_bound, edge_log_depth, MessageMode};
 use deco_graph::trace::{churn_trace, parse_trace};
 use deco_probe::Fnv;
-use deco_stream::{replay_trace, Recolorer, RepairStrategy};
+use deco_stream::{replay_trace, Recolorer, RegionRecolor, RepairStrategy};
 
 /// FNV-1a over the full per-commit color history: pins every color of
 /// every commit without storing them all in the source.
@@ -91,7 +91,7 @@ fn replay_matches_manual_engine_drive() {
     let mut reports = Vec::new();
     for batch in trace.batches() {
         for &op in batch {
-            deco_stream::queue_op(&mut r, op).unwrap();
+            r.queue_op(op).unwrap();
         }
         reports.push(r.commit().unwrap());
     }
@@ -114,7 +114,7 @@ fn pinned_color_history_across_thread_counts() {
     let mut history = Vec::new();
     for batch in trace.batches() {
         for &op in batch {
-            deco_stream::queue_op(&mut r, op).unwrap();
+            r.queue_op(op).unwrap();
         }
         r.commit().unwrap();
         history.push(r.coloring().into_colors());

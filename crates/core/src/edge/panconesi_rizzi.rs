@@ -49,7 +49,9 @@ struct AEdge {
 
 #[derive(Debug)]
 struct PrAssign {
-    my_cv: BTreeMap<u64, u64>,
+    /// `(forest id, CV color)` of every forest this node holds a slot in,
+    /// sorted by forest id (Cole–Vishkin's output, taken by move).
+    my_cv: Vec<(u64, u64)>,
     aedges: Vec<AEdge>,
     /// Child-edge indices sorted by `(forest, parent CV color)` — the order
     /// the `(f, j)` steps consume them in. Built once when all parent colors
@@ -79,6 +81,16 @@ struct PrAssign {
 }
 
 impl PrAssign {
+    /// This node's CV color in forest `fid`, which it parents.
+    fn cv_of(&self, fid: u64) -> u64 {
+        let i = self
+            .my_cv
+            .binary_search_by_key(&fid, |&(f, _)| f)
+            // INVARIANT: my_cv is filled for every forest this node parents before coloring begins.
+            .expect("parent has a CV color per forest");
+        self.my_cv[i].1
+    }
+
     fn edge_by_nbr(&mut self, nbr: Vertex) -> &mut AEdge {
         // INVARIANT: the transport delivers only along host edges, so the sender is always incident.
         self.aedges.iter_mut().find(|e| e.nbr == nbr).expect("message from non-incident sender")
@@ -156,8 +168,7 @@ impl PrAssign {
         let mut last = 0usize;
         for e in &self.aedges {
             let (j, due) = if e.i_am_parent {
-                // INVARIANT: my_cv is filled for every forest this node parents before coloring begins.
-                (*self.my_cv.get(&e.fid).expect("parent has a CV color per forest"), 3)
+                (self.cv_of(e.fid), 3)
             } else {
                 // INVARIANT: round 1 delivers the parent's CV color before any later round reads it.
                 (e.parent_cv.expect("parent CV color arrives in round 1"), 4)
@@ -177,8 +188,7 @@ impl Protocol for PrAssign {
         let mut out = Vec::new();
         for e in &self.aedges {
             if e.i_am_parent {
-                // INVARIANT: my_cv is filled for every forest this node parents before coloring begins.
-                let cv = *self.my_cv.get(&e.fid).expect("parent has a CV color per forest");
+                let cv = self.cv_of(e.fid);
                 out.push((e.nbr, FieldMsg::new(&[(TAG_CV, 3), (cv, 3)])));
             }
         }
@@ -315,7 +325,7 @@ pub fn pr_edge_color_in_groups(
     let w_cap = w_cap.max(1);
     let (spec, parts) = forest_spec(g, edge_groups, w_cap);
     let mut pl = Pipeline::new(net);
-    let (cv_colors, stats1) = cv_three_color(net, &spec);
+    let (mut cv_colors, stats1) = cv_three_color(net, &spec);
     pl.absorb("cole-vishkin-forests", stats1);
 
     let outputs = pl.run("pr-assign", |ctx| {
@@ -338,7 +348,7 @@ pub fn pr_edge_color_in_groups(
             })
             .collect();
         PrAssign {
-            my_cv: cv_colors[v].iter().copied().collect(),
+            my_cv: std::mem::take(&mut cv_colors[v]),
             aedges,
             child_order: Vec::new(),
             child_cursor: 0,

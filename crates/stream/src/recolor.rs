@@ -644,11 +644,12 @@ fn repair_region<H: RegionHost>(
     cfg: &RecolorConfig,
 ) -> (RunStats, u64, usize) {
     let (sub, vmap, emap) = g.region_subgraph(dirty);
-    // The pipeline's symmetry breaking assumes identifiers from {1, ..., n}
-    // (Cole–Vishkin's initial palette is the ident domain), but
-    // `edge_induced` inherits host identifiers that can exceed the region
-    // size. Rank-renumber them: order-preserving, so the sub-network's
-    // symmetry breaking stays a deterministic function of the host's.
+    // The pipeline's symmetry breaking is sized for identifiers from
+    // {1, ..., n}: Cole–Vishkin's palettes span the identifier domain, so
+    // the host identifiers `edge_induced` inherits would lengthen its
+    // schedule to the host's size. Rank-renumber them: order-preserving,
+    // so the sub-network's symmetry breaking stays a deterministic
+    // function of the host's.
     let mut rank: Vec<usize> = (0..sub.n()).collect();
     rank.sort_unstable_by_key(|&v| sub.ident(v));
     let mut dense = vec![0u64; sub.n()];
@@ -681,7 +682,7 @@ fn repair_region<H: RegionHost>(
         .map(|c| palette.binary_search(c).expect("own color is in the palette") as u64)
         .collect();
 
-    let fixed_masks = fixed_masks(g, &vmap, is_dirty, colors, cap);
+    let mut fixed_masks = fixed_masks(g, &vmap, is_dirty, colors, cap);
 
     let mut pl = Pipeline::new(&subnet);
     pl.absorb("repair/schedule-pipeline", run.stats);
@@ -690,7 +691,8 @@ fn repair_region<H: RegionHost>(
             .incident(ctx.vertex)
             .map(|(nbr, e)| FinalizeEdge { nbr, eid: e, class: class_of[e], color: None })
             .collect();
-        Finalize { cap, taken: fixed_masks[ctx.vertex].clone(), edges }
+        let taken = std::mem::replace(&mut fixed_masks[ctx.vertex], Bitset::new(0));
+        Finalize { cap, taken, edges }
     });
     let finals = merge_edge_replicas(sub.m(), &outputs, "repair color");
     for (sub_e, &c) in finals.iter().enumerate() {
@@ -778,7 +780,7 @@ fn resilient_repair<H: RegionHost>(
         for &e in &dirty {
             is_dirty[e] = true;
         }
-        let fixed_masks = fixed_masks(g, &vmap, &is_dirty, colors, cap);
+        let mut fixed_masks = fixed_masks(g, &vmap, &is_dirty, colors, cap);
         // Exponential backoff: a failed attempt retries with double the
         // round budget, so slow-but-live executions (many delays) get the
         // rounds they need while genuine livelocks stay bounded.
@@ -802,7 +804,8 @@ fn resilient_repair<H: RegionHost>(
                     announced: 0,
                 })
                 .collect();
-            RobustFinalize { cap, taken: fixed_masks[ctx.vertex].clone(), edges }
+            let taken = std::mem::replace(&mut fixed_masks[ctx.vertex], Bitset::new(0));
+            RobustFinalize { cap, taken, edges }
         });
         let run = match outcome {
             Ok((run, _profile)) => run,

@@ -209,3 +209,59 @@ fn dense_long_mode_rounds_allocate_nothing_once_spill_arena_is_warm() {
     let spill_after = deco_local::spill::stats();
     assert_eq!(spill_after, spill_before, "spill arena kept allocating after the warm-up run");
 }
+
+/// A churn repair's region: `edges` evenly spaced edges of a
+/// bounded-degree host, on the touched vertices renumbered by rank — a
+/// near-matching.
+fn churn_region(host_n: usize, edges: usize, seed: u64) -> deco_graph::Graph {
+    let host = generators::random_bounded_degree(host_n, 8, seed);
+    let picked: Vec<(usize, usize)> = host.edges().step_by(host.m() / edges).take(edges).collect();
+    let mut touched: Vec<usize> = picked.iter().flat_map(|&(u, v)| [u, v]).collect();
+    touched.sort_unstable();
+    touched.dedup();
+    let rank = |v: usize| touched.binary_search(&v).unwrap();
+    let edges: Vec<(usize, usize)> = picked.iter().map(|&(u, v)| (rank(u), rank(v))).collect();
+    deco_graph::Graph::from_edges(touched.len(), &edges).unwrap()
+}
+
+/// The Panconesi–Rizzi forest decomposition: a vertex's `f`-th edge toward
+/// a smaller identifier joins forest `f`, oriented toward that neighbor.
+fn ident_forest(g: &deco_graph::Graph) -> Vec<(u64, usize)> {
+    let mut out = vec![(0, 0); g.m()];
+    for v in 0..g.n() {
+        let mut parents: Vec<(u64, usize, usize)> = g
+            .incident(v)
+            .filter(|&(u, _)| g.ident(u) < g.ident(v))
+            .map(|(u, e)| (g.ident(u), u, e))
+            .collect();
+        parents.sort_unstable();
+        for (f, &(_, u, e)) in parents.iter().enumerate() {
+            out[e] = (f as u64, u);
+        }
+    }
+    out
+}
+
+#[test]
+fn cole_vishkin_allocates_a_few_times_per_region_vertex() {
+    use deco_core::cole_vishkin::cv_three_color;
+    let _serial = measuring();
+    let g = churn_region(50_000, 2_000, 1);
+    assert!(g.m() == 2_000 && g.n() >= 3_800, "region {} vertices, {} edges", g.n(), g.m());
+    let spec = ident_forest(&g);
+    let net = Network::new(&g).with_threads(1);
+    // Warm up whatever lazy global state the first run touches.
+    let _ = cv_three_color(&net, &spec);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let (colors, _) = cv_three_color(&net, &spec);
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(colors.len(), g.n());
+    // Per node: its slot state and its output. The structure is built
+    // once into flat shared tables, and only non-root parents send.
+    assert!(
+        allocs <= 3 * g.n(),
+        "Cole–Vishkin allocated {allocs} times on a {}-vertex region ({:.1} per vertex)",
+        g.n(),
+        allocs as f64 / g.n() as f64
+    );
+}

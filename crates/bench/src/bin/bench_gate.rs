@@ -84,9 +84,8 @@ fn main() -> ExitCode {
                 "Deterministic bench baseline: counters (rounds, messages, regions, \
                  hashes) must not regress; wall-clock, acceptance and environment \
                  fields are informational. Regenerate deliberately with `cargo run \
-                 -p deco-bench --bin bench_gate -- write BENCH_baseline.json \
-                 BENCH_pr1.json .. BENCH_pr8.json PROFILE_report.json` and say why \
-                 in CHANGES.md.",
+                 --release -p deco-bench --bin bench_gate -- write BENCH_baseline.json \
+                 BENCH_gate.json PROFILE_report.json` and say why in CHANGES.md.",
             )
             .field("benches", benches.build())
             .build();

@@ -4,8 +4,9 @@
 //! performance trajectory is guarded by the **deterministic counters** the
 //! benches emit — rounds, messages, repaired edges, region sizes, color
 //! hashes — which the simulator's determinism contract fixes exactly for a
-//! given scenario. The gate compares fresh `BENCH_*.json` files against the
-//! committed `BENCH_baseline.json`:
+//! given scenario. The gate compares a fresh `BENCH_gate.json` (written by
+//! the `gate` bench) and `PROFILE_report.json` against the committed
+//! `BENCH_baseline.json`:
 //!
 //! * **cost counters** (integer keys containing one of [`COST_KEYS`]) may
 //!   improve but must not regress (`new <= baseline`);
@@ -271,8 +272,8 @@ mod tests {
     #[test]
     fn environment_blocks_are_never_fatal() {
         // Thread counts and per-round worker traces are machine facts: the
-        // pr1/pr2 benches keep them under "environment" so their counters
-        // can join the deterministic baseline.
+        // gate bench keeps them under "environment" so the counters beside
+        // them can join the deterministic baseline.
         let with_env = |threads: i64, workers: i64| {
             Obj::new()
                 .field("bench", "demo")
@@ -304,17 +305,31 @@ mod tests {
         assert!(r.notes.iter().any(|n| n.contains("new key")));
     }
 
+    /// Parses a committed json file at the workspace root.
+    fn committed(name: &str) -> Value {
+        let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
+    }
+
     #[test]
     fn real_bench_files_flatten() {
-        // The committed pr3 bench output parses and classifies sensibly.
-        let text =
-            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr3.json"))
-                .expect("committed bench json");
-        let v = parse(&text).unwrap();
-        let flat = flatten(&v);
-        assert!(matches!(flat.get("initial_build.messages"), Some(Leaf::Cost(_))));
-        assert!(matches!(flat.get("n"), Some(Leaf::Exact(_))));
-        assert!(matches!(flat.get("commits[0].incremental_ms"), Some(Leaf::Wall(_))));
-        assert!(matches!(flat.get("acceptance.met"), Some(Leaf::Wall(_))));
+        // The committed gate bench output parses and classifies sensibly.
+        let flat = flatten(&committed("BENCH_gate.json"));
+        assert!(matches!(flat.get("churn.initial_build.messages"), Some(Leaf::Cost(_))));
+        assert!(matches!(flat.get("repair.commits[0].repair_rounds"), Some(Leaf::Cost(_))));
+        assert!(matches!(flat.get("churn.n"), Some(Leaf::Exact(_))));
+        assert!(matches!(flat.get("serve.fleet_fingerprint"), Some(Leaf::Exact(_))));
+        assert!(matches!(flat.get("environment.threads_available"), Some(Leaf::Wall(_))));
+    }
+
+    #[test]
+    fn committed_gate_output_passes_committed_baseline() {
+        // A re-pin committed without its bench output, or the reverse,
+        // fails here rather than in CI's fresh run.
+        let baseline = committed("BENCH_baseline.json");
+        let entry = baseline.get("benches").and_then(|b| b.get("gate")).expect("a gate entry");
+        let report = check(entry, &committed("BENCH_gate.json"));
+        assert!(report.passed(), "{}", report.render("gate"));
     }
 }

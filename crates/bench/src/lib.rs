@@ -1,11 +1,13 @@
 //! Shared helpers for the deco benchmark harnesses.
 //!
-//! Every bench binary regenerates one table or figure of the paper (see
+//! Every paper bench regenerates one table or figure of the paper (see
 //! DESIGN.md's experiment index) by running the actual distributed
 //! algorithms on the simulator and printing measured rounds / colors /
 //! message sizes. Absolute constants differ from the paper's asymptotic
 //! statements; the *shape* (growth in Δ at fixed n, growth in n at fixed Δ,
-//! crossovers) is what each harness checks and displays.
+//! crossovers) is what each harness checks and displays. The one
+//! exception is the `gate` bench, which records the deterministic counters
+//! that the [`gate`] module pins.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};

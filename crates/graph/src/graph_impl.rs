@@ -1,5 +1,6 @@
 use crate::batch::{check_idents, check_pair, patch_lists};
 use crate::{EdgeIdx, GraphError, Vertex};
+use std::collections::BTreeSet;
 
 /// An immutable simple undirected graph in CSR form.
 ///
@@ -701,12 +702,16 @@ fn sorted_intersect<'a>(
 pub struct GraphBuilder {
     n: usize,
     edges: Vec<(u32, u32)>,
+    /// Membership index over `edges`, built by the first
+    /// [`GraphBuilder::add_edge_dedup`] call and kept in step from then on;
+    /// builders that never deduplicate never pay for it.
+    index: Option<BTreeSet<(u32, u32)>>,
 }
 
 impl GraphBuilder {
     /// Starts a builder for a graph with `n` vertices.
     pub fn new(n: usize) -> GraphBuilder {
-        GraphBuilder { n, edges: Vec::new() }
+        GraphBuilder { n, edges: Vec::new(), index: None }
     }
 
     /// Adds the undirected edge `(u, v)`.
@@ -716,18 +721,24 @@ impl GraphBuilder {
     /// Returns [`GraphError`] if an endpoint is out of range or the edge is a
     /// self-loop. Duplicates are detected at [`GraphBuilder::build`] time.
     pub fn add_edge(&mut self, u: Vertex, v: Vertex) -> Result<&mut Self, GraphError> {
-        self.edges.push(check_pair(self.n, u, v)?);
+        let pair = check_pair(self.n, u, v)?;
+        if let Some(index) = &mut self.index {
+            index.insert(pair);
+        }
+        self.edges.push(pair);
         Ok(self)
     }
 
     /// Adds the edge if not already present; returns whether it was added.
+    /// `O(log m)` per call once the first call has indexed the edges so far.
     ///
     /// # Errors
     ///
     /// Same as [`GraphBuilder::add_edge`] for range and self-loop violations.
     pub fn add_edge_dedup(&mut self, u: Vertex, v: Vertex) -> Result<bool, GraphError> {
         let pair = check_pair(self.n, u, v)?;
-        if self.edges.contains(&pair) {
+        let index = self.index.get_or_insert_with(|| self.edges.iter().copied().collect());
+        if !index.insert(pair) {
             return Ok(false);
         }
         self.edges.push(pair);
@@ -1035,5 +1046,24 @@ mod tests {
         assert!(b.add_edge_dedup(0, 1).unwrap());
         assert!(!b.add_edge_dedup(1, 0).unwrap());
         assert_eq!(b.build().unwrap().m(), 1);
+
+        // Plain edges added before the first dedup call are in its index,
+        // and plain edges added after it are seen by later calls.
+        let mut b = Graph::builder(4);
+        b.add_edge(0, 1).unwrap();
+        b.add_edge(2, 1).unwrap();
+        assert!(!b.add_edge_dedup(1, 2).unwrap());
+        assert!(b.add_edge_dedup(2, 3).unwrap());
+        b.add_edge(3, 0).unwrap();
+        assert!(!b.add_edge_dedup(0, 3).unwrap());
+        assert!(!b.add_edge_dedup(1, 0).unwrap());
+        assert_eq!(b.edge_count(), 4);
+        assert_eq!(
+            b.build().unwrap().edges().collect::<Vec<_>>(),
+            [(0, 1), (0, 3), (1, 2), (2, 3)]
+        );
+        // A plain duplicate still fails at build time, index or not.
+        b.add_edge(3, 2).unwrap();
+        assert_eq!(b.build(), Err(GraphError::DuplicateEdge { u: 2, v: 3 }));
     }
 }

@@ -37,17 +37,17 @@ pub fn line_graph(g: &Graph) -> Graph {
         let incident: Vec<usize> = g.incident(v).map(|(_, e)| e).collect();
         for (a, &e) in incident.iter().enumerate() {
             for &f in &incident[a + 1..] {
-                // Two distinct edges sharing v. An edge pair can share both
-                // endpoints only in a multigraph, which `Graph` forbids, but
-                // a triangle's edges meet pairwise at distinct vertices, so
-                // deduplicate defensively.
+                // Two distinct edges sharing v. Distinct edges of a simple
+                // graph share at most one endpoint (sharing both would make
+                // them parallel), so each pair is produced exactly once,
+                // at its one shared vertex: no deduplication is needed.
                 // INVARIANT: line-graph vertex indices come from enumerate() over the edge list, so they are in range.
-                b.add_edge_dedup(e, f).expect("edge indices in range");
+                b.add_edge(e, f).expect("edge indices in range");
             }
         }
     }
-    // INVARIANT: edges were deduplicated before insertion, so build cannot report duplicates.
-    let l = b.build().expect("deduplicated construction");
+    // INVARIANT: each edge pair is produced once, at its one shared endpoint, so build cannot report duplicates.
+    let l = b.build().expect("each pair is produced once");
     // Identifier of line vertex e = rank of (ident(u), ident(v)) ordered pairs.
     let mut keyed: Vec<((u64, u64), usize)> = (0..m)
         .map(|e| {

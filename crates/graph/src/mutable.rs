@@ -81,8 +81,8 @@ pub struct CommitDelta {
     /// report the same value for the same batch (0 for an empty batch,
     /// which short-circuits). The segmented engine
     /// ([`crate::SegmentedGraph`]) counts its actual per-segment writes in
-    /// the same currency — that differential is what the `pr7_segments`
-    /// bench gates on.
+    /// the same currency — that differential is what the `gate` bench
+    /// pins in its `churn` and `machinery` scenarios.
     pub commit_bytes: usize,
 }
 

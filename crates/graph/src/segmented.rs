@@ -58,7 +58,7 @@
 //! identifier writes. Full-rewrite commits (the shrink/rebuild path here,
 //! and both [`crate::MutableGraph`] paths) count
 //! [`Graph::full_rewrite_bytes`] in the same currency, which is what the
-//! `pr7_segments` bench compares.
+//! `gate` bench compares.
 
 use crate::batch::{self, Batch, Resolved};
 use crate::{EdgeIdx, Graph, GraphError, Vertex};

@@ -83,25 +83,12 @@ impl<M> NaiveFaults<M> {
 }
 
 impl Network<'_> {
-    /// [`Network::run`] on the naive reference engine.
+    /// [`Network::run_profiled`] on the naive reference engine.
     ///
     /// # Panics
     ///
     /// Panics if a node addresses a message to a non-neighbor or the round
     /// cap is exceeded.
-    pub fn run_naive<P, F>(&self, make: F) -> Run<P::Output>
-    where
-        P: Protocol,
-        F: FnMut(&NodeCtx<'_>) -> P,
-    {
-        self.run_profiled_naive(make).0
-    }
-
-    /// [`Network::run_profiled`] on the naive reference engine.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Network::run_naive`].
     pub fn run_profiled_naive<P, F>(&self, make: F) -> (Run<P::Output>, Vec<RoundLoad>)
     where
         P: Protocol,

@@ -669,20 +669,6 @@ impl<'g> Network<'g> {
         }
     }
 
-    /// [`Network::run`] with deterministic parallel round stepping.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Network::run`].
-    pub fn run_threaded<P, F>(&self, make: F) -> Run<P::Output>
-    where
-        P: Protocol + Send,
-        P::Msg: Send + Sync,
-        F: FnMut(&NodeCtx<'_>) -> P,
-    {
-        self.run_profiled_threaded(make).0
-    }
-
     /// [`Network::run_profiled`] with deterministic parallel round stepping.
     ///
     /// Rounds with enough active nodes are stepped by up to

@@ -98,7 +98,7 @@ impl RecordingProbe {
     /// [`Event::is_deterministic`] contributes its JSONL line plus a
     /// newline. [`Event::Env`] entries are skipped entirely, so digests
     /// compare equal across thread counts and delivery modes — this is the
-    /// value the determinism matrix and `BENCH_pr8.json` pin.
+    /// value the determinism matrix and `BENCH_gate.json` pin.
     pub fn digest(&self) -> u64 {
         // INVARIANT: a poisoned lock means another thread panicked while holding it; propagating that panic is the intended failure mode.
         digest_events(&self.events.lock().expect("probe lock"))

@@ -35,8 +35,8 @@
 //! is deterministic by the [`RegionRecolor`](deco_stream::RegionRecolor)
 //! contract — so per-tenant [`CommitReport`](deco_stream::CommitReport)
 //! transcripts, colorings and snapshots are **bit-identical at any shard
-//! count**. The `serve_determinism` integration test and the `pr9_serve`
-//! bench gate pin exactly that, fingerprint by fingerprint.
+//! count**. The `serve_determinism` integration test and the `gate`
+//! bench's `serve` scenario pin exactly that, fingerprint by fingerprint.
 //!
 //! # Module map
 //!

@@ -13,7 +13,7 @@
 //! | `hash-iter` | no `HashMap`/`HashSet` in the deterministic crates' `src/` (graph/core/local/stream); no hash-order iteration anywhere else |
 //! | `wall-clock` | no `Instant`/`SystemTime` outside `crates/bench` (the quarantined wall/`environment` reporting crate) |
 //! | `seeded-rand` | no nondeterministic entropy (`thread_rng`, `from_entropy`, `OsRng`, `getrandom`); manifests may only depend on the path shim `crates/rand` |
-//! | `probe-gated` | every `.emit(…)` call site in `src/` must be gated on `enabled()` within its function (the zero-cost contract `pr8_probe` asserts dynamically, checked statically at every site) |
+//! | `probe-gated` | every `.emit(…)` call site in `src/` must be gated on `enabled()` within its function (the zero-cost contract `tests/zero_alloc.rs` asserts dynamically, checked statically at every site) |
 //! | `unsafe-audit` | `unsafe` only in allowlisted modules, and every site needs an adjacent `// SAFETY:` comment |
 //! | `deprecated-expiry` | every `#[deprecated]` note must name `remove-by: PR<N>`, and the item must be gone once PR `N` is current (current PR = `CHANGES.md` lines + 1) |
 //! | `invariant-panic` | no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` in non-test `src/` code without an adjacent `// INVARIANT:` comment |

@@ -33,10 +33,6 @@ const UNSAFE_MODULES: &[(&str, &str)] = &[
         "the lock-free Swap snapshot cell (AtomicPtr + manual Arc counts), stress-tested",
     ),
     (
-        "crates/bench/benches/pr8_probe.rs",
-        "counting global allocator backing the zero-allocation hard assert",
-    ),
-    (
         "tests/zero_alloc.rs",
         "counting global allocator backing the zero-allocation steady-state pin",
     ),

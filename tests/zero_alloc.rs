@@ -2,14 +2,18 @@
 //! their steady size, additional rounds of a broadcast protocol allocate
 //! (essentially) nothing — the delivery path is arena writes only. The
 //! naive reference engine, by contrast, allocates per round by design.
+//! The disabled probe is pinned free too: gating on it never allocates.
 //!
 //! Allocation counts are deterministic for a fixed sequential run, so the
 //! assertions are exact-science, not flaky heuristics. The counter is
 //! process-global and libtest runs tests concurrently, so each test holds
 //! [`MEASURING`] for its whole body: neither counts the other's
-//! allocations, at any test-thread count.
+//! allocations, at any test-thread count. A zero-allocation assert reads
+//! the per-thread count instead, which the harness's own work on its other
+//! threads (spawning the next test, printing progress) never reaches.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -17,11 +21,23 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
-// SAFETY: delegates everything to the system allocator; the counter is a
-// relaxed atomic with no further invariants.
+thread_local! {
+    /// Allocations made by the current thread.
+    static THREAD_ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Bumps both counters. The thread-local has a const initializer and no
+/// destructor, so touching it never allocates.
+fn count_alloc() {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: delegates everything to the system allocator; the counters are a
+// relaxed atomic and a thread-local cell with no further invariants.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -34,7 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: forwards the caller's layout contract untouched to the
     // system allocator; the count bump has no safety obligations.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -53,6 +69,27 @@ fn measuring() -> MutexGuard<'static, ()> {
 
 use deco_graph::generators;
 use deco_local::{Action, Engine, Network, NodeCtx, Protocol};
+use std::sync::Arc;
+
+/// Allocations `f` makes on the calling thread.
+fn allocs(f: impl FnOnce()) -> usize {
+    let before = THREAD_ALLOCS.with(Cell::get);
+    f();
+    THREAD_ALLOCS.with(Cell::get) - before
+}
+
+#[test]
+fn null_probe_gate_allocates_nothing() {
+    let _serial = measuring();
+    let null = deco_probe::null(); // initialize the shared Arc up front
+    let gate_allocs = allocs(|| {
+        for _ in 0..1_000_000 {
+            let p = Arc::clone(&null);
+            assert!(!p.enabled(), "the null probe must stay disabled");
+        }
+    });
+    assert_eq!(gate_allocs, 0, "the disabled-probe gate must not allocate");
+}
 
 /// Broadcast a counter for a fixed number of rounds — the steady-state
 /// delivery workload (`Action::Broadcast` keeps even the protocol layer

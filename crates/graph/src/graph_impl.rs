@@ -60,6 +60,27 @@ impl Graph {
         b.build()
     }
 
+    /// Assembles a graph from CSR arrays a caller has already built in
+    /// canonical form: lexicographic `edges`, neighbor-sorted `adj` slices
+    /// at `offsets`, an involutive `mirror` table and distinct `idents`.
+    /// Only lengths are checked here; the caller owns every other
+    /// invariant.
+    pub(crate) fn from_parts(
+        offsets: Vec<usize>,
+        adj: Vec<(u32, u32)>,
+        edges: Vec<(u32, u32)>,
+        mirror: Vec<u32>,
+        idents: Vec<u64>,
+        max_degree: usize,
+    ) -> Graph {
+        let n = idents.len();
+        assert_eq!(offsets.len(), n + 1, "offsets cover every vertex");
+        assert_eq!(offsets[n], adj.len(), "offsets end at the slot count");
+        assert_eq!(adj.len(), 2 * edges.len(), "one slot per edge end");
+        assert_eq!(mirror.len(), adj.len(), "mirror table aligned with slots");
+        Graph { n, offsets, adj, edges, mirror, idents, max_degree }
+    }
+
     /// Creates an edgeless graph with `n` vertices.
     pub fn empty(n: usize) -> Graph {
         // INVARIANT: an empty edge list trivially satisfies validation.

@@ -50,6 +50,23 @@
 //! shrink replay) is [`crate::MutableGraph`]'s; this store adds only the
 //! segment splice with its stable-id assignment and a rebuild's id remap.
 //!
+//! # Publishing
+//!
+//! Every live segment is kept strictly sorted by neighbor (every splice
+//! merges in neighbor order; [`SegmentedGraph::check_consistency`] asserts
+//! it). Under that precondition one walk — vertices in order, and in each
+//! segment the entries whose neighbor is larger than the vertex — visits
+//! the edges in lexicographic order. [`SegmentedGraph::lex_edge_ids`] and
+//! [`SegmentedGraph::to_graph`] are both that walk: O(n + m), with no
+//! sorting. `to_graph` fills the edge list, the id map, the CSR offsets,
+//! the adjacency and the mirror table as it goes, translating each
+//! stored mirror position into a slot of the new CSR. Only the identifier
+//! distinctness check sorts, one copy of n identifiers. Each entry costs
+//! O(1) asserts of the invariants the walk relies on: neighbors in range
+//! and not the vertex itself, strictly increasing segments, exactly m
+//! edges, and mirrors that land in the partner segment on an entry
+//! pointing back.
+//!
 //! # Byte accounting
 //!
 //! [`SegCommitDelta::commit_bytes`] counts the bytes actually written into
@@ -336,16 +353,44 @@ impl SegmentedGraph {
     /// Live edge ids sorted by endpoint pair — the lexicographic order the
     /// contiguous [`Graph`] numbers its edges in. `lex_edge_ids()[i]` is
     /// the id of edge `i` of [`SegmentedGraph::to_graph`].
+    ///
+    /// One linear walk of the segments (module docs, *Publishing*):
+    /// O(n + m), no sorting.
     pub fn lex_edge_ids(&self) -> Vec<u32> {
-        let mut items: Vec<(u32, u32, u32)> = self
-            .ends
-            .iter()
-            .enumerate()
-            .filter(|&(_, &pair)| pair != HOLE)
-            .map(|(e, &(u, v))| (u, v, e as u32))
-            .collect();
-        items.sort_unstable();
-        items.into_iter().map(|(_, _, e)| e).collect()
+        let mut ids = Vec::with_capacity(self.live_edges);
+        self.walk(|v, _, nbr, id| {
+            if v < nbr {
+                ids.push(id);
+            }
+        });
+        ids
+    }
+
+    /// The walk both publish views share: every live entry, vertices in
+    /// order and each segment in neighbor order, as `visit(v, p, nbr, id)`
+    /// with `p` the entry's arena position. Segments are sorted by
+    /// neighbor, so the entries with `nbr > v` arrive in lexicographic
+    /// edge order: the `i`-th of them is edge `i` of the materialized
+    /// [`Graph`]. Asserts, per entry, the invariants that order rests on.
+    fn walk(&self, mut visit: impl FnMut(u32, usize, u32, u32)) {
+        let mut forward = 0usize;
+        for v in 0..self.n {
+            let start = self.ext[v].start as usize;
+            let seg = self.segment(v);
+            for (i, &(nbr, id)) in seg.iter().enumerate() {
+                // INVARIANT: commits only splice in validated, normalized pairs.
+                assert!(
+                    (nbr as usize) < self.n && nbr as usize != v,
+                    "vertex {v}: bad entry {nbr}"
+                );
+                // INVARIANT: every splice merges in neighbor order; strictness also rules out duplicates.
+                assert!(i == 0 || seg[i - 1].0 < nbr, "vertex {v}: segment not strictly sorted");
+                forward += usize::from(nbr as usize > v);
+                visit(v as u32, start + i, nbr, id);
+            }
+        }
+        // INVARIANT: each live edge has exactly one entry above its lower endpoint.
+        assert_eq!(forward, self.live_edges, "the walk must yield exactly m edges");
     }
 
     /// Iterates over `(neighbor, edge id)` pairs incident to `v`, in
@@ -384,21 +429,49 @@ impl SegmentedGraph {
     /// here (`idmap[lex] = id`). The result is bit-identical to driving
     /// the same batches through [`crate::MutableGraph`] — the differential
     /// oracle contract the `delta_csr` sweep pins.
+    ///
+    /// Built in the one linear walk of [`SegmentedGraph::lex_edge_ids`]
+    /// (module docs, *Publishing*): O(n + m) with no sorting, apart from
+    /// the identifier distinctness check.
     pub fn to_graph(&self) -> (Graph, Vec<u32>) {
-        let idmap = self.lex_edge_ids();
-        let edges: Vec<(usize, usize)> = idmap
-            .iter()
-            .map(|&e| {
-                let (u, v) = self.ends[e as usize];
-                (u as usize, v as usize)
-            })
-            .collect();
-        let g = Graph::from_edges(self.n, &edges)
-            // INVARIANT: the subgraph inherits validated endpoints from a valid host graph.
-            .expect("segmented invariants imply a valid edge list")
-            .with_idents(self.idents.clone())
-            // INVARIANT: segment identifiers are distinct by construction, so re-labelling cannot fail.
-            .expect("segmented identifiers are distinct");
+        let m = self.live_edges;
+        let mut offsets = Vec::with_capacity(self.n + 1);
+        offsets.push(0usize);
+        let mut max_degree = 0usize;
+        for e in &self.ext {
+            max_degree = max_degree.max(e.len as usize);
+            offsets.push(offsets[offsets.len() - 1] + e.len as usize);
+        }
+        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(m);
+        let mut idmap: Vec<u32> = Vec::with_capacity(m);
+        let mut adj: Vec<(u32, u32)> = Vec::with_capacity(2 * m);
+        let mut mirror: Vec<u32> = Vec::with_capacity(2 * m);
+        self.walk(|v, p, nbr, id| {
+            // Segment `w` fills slots `offsets[w]..` in walk order, so the
+            // stored mirror position translates to a slot by its offset
+            // inside the partner segment.
+            let partner = self.ext[nbr as usize];
+            let q = self.mirror[p].wrapping_sub(partner.start);
+            // INVARIANT: every commit re-links the mirrors of the segments it touched.
+            assert!(q < partner.len, "slot {p}: mirror outside the partner segment");
+            let t = offsets[nbr as usize] + q as usize;
+            mirror.push(t as u32);
+            let e = if v < nbr {
+                edges.push((v, nbr));
+                idmap.push(id);
+                (edges.len() - 1) as u32
+            } else {
+                // The partner slot was filled when segment `nbr` was walked.
+                let (back, e) = adj[t];
+                // INVARIANT: the mirror of an entry is its partner's entry for the same edge.
+                assert_eq!(back, v, "slot {p}: mirror does not point back");
+                e
+            };
+            adj.push((nbr, e));
+        });
+        // INVARIANT: commits validate identifier distinctness before writing identifiers.
+        batch::check_idents(&[], &self.idents).expect("segmented identifiers are distinct");
+        let g = Graph::from_parts(offsets, adj, edges, mirror, self.idents.clone(), max_degree);
         (g, idmap)
     }
 

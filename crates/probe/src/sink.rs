@@ -41,7 +41,7 @@ pub trait Probe: std::fmt::Debug + Send + Sync {
 
 /// The disabled sink: [`Probe::enabled`] is `false` and [`Probe::emit`]
 /// drops the event. The default probe of every `Network`, `Recolorer` and
-/// graph; the pr8 bench pins this path at zero extra allocations.
+/// graph; `tests/zero_alloc.rs` pins this path at zero extra allocations.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullProbe;
 

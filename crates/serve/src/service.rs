@@ -43,9 +43,11 @@ use deco_core::params::ParamError;
 use deco_graph::trace::TraceOp;
 use deco_probe::Fnv;
 use deco_stream::{CommitReport, Recolorer, RegionRecolor, SegRecolorer};
+use std::any::Any;
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Duration;
@@ -68,7 +70,8 @@ pub enum ServeError {
     Backpressure(TenantId),
     /// The tenant spent its admission quota of committed `node_rounds`.
     QuotaExhausted(TenantId),
-    /// A queue-side failure poisoned the tenant; see [`Serve::errors`].
+    /// A queue-side failure or an engine panic quarantined the tenant;
+    /// see [`Serve::errors`].
     Quarantined(TenantId),
     /// The service is shutting down.
     ShuttingDown,
@@ -166,6 +169,15 @@ impl ServeConfig {
     }
 }
 
+/// The message of a caught panic: the `&str` or `String` that `panic!`
+/// and `assert!` carry, or a placeholder for any other payload.
+fn panic_text(payload: &(dyn Any + Send)) -> &str {
+    match payload.downcast_ref::<&str>() {
+        Some(text) => text,
+        None => payload.downcast_ref::<String>().map_or("non-string panic payload", String::as_str),
+    }
+}
+
 /// Everything the workers and the front end share.
 struct Shared {
     cfg: ServeConfig,
@@ -255,6 +267,11 @@ impl Shared {
     /// unscheduled (inbox empty) — the next submission re-enqueues it —
     /// or never unscheduled here because pops and the flag share the
     /// inbox lock.
+    ///
+    /// A panic inside the tenant's engine is caught per message, inside
+    /// the executor guard (so the mutex is not poisoned): the tenant is
+    /// quarantined with the panic message as its error, the message still
+    /// counts as processed, and the worker goes on draining.
     fn drain_tenant(&self, id: TenantId) {
         let Ok(tenant) = self.tenant(id) else { return };
         // INVARIANT: a poisoned lock means another thread panicked while holding it; propagating that panic is the intended failure mode.
@@ -275,7 +292,18 @@ impl Shared {
                     }
                 }
             };
-            self.process(&tenant, &mut exec, msg);
+            let run = AssertUnwindSafe(|| self.process(&tenant, &mut exec, msg));
+            if let Err(payload) = catch_unwind(run) {
+                // The engine's state is unknowable after an unwind, so the
+                // tenant stops, exactly as after a queue-side failure, and
+                // the count comes from the transcript, not the engine.
+                let commits = exec.reports.len();
+                exec.errors.push(TenantError {
+                    commits,
+                    message: format!("panic: {}", panic_text(&*payload)),
+                });
+                exec.quarantined = true;
+            }
             processed += 1;
             // Publish progress eagerly so `drain` callers waiting on the
             // quiet condvar see long drains advance.
@@ -603,7 +631,8 @@ impl Serve {
 
     /// Wall time of each successful commit, aligned with
     /// [`Serve::reports`]. Excluded from the determinism contract,
-    /// obviously; the pr9 bench derives its p99 latency from this.
+    /// obviously; perfbench's traced run splits each visible latency into
+    /// engine commit and serve overhead with this.
     ///
     /// # Errors
     ///
@@ -667,7 +696,8 @@ impl Serve {
     /// One fingerprint over the whole fleet: every tenant's report
     /// transcript and published snapshot, in registration order. Two runs
     /// are byte-identical iff their fleet fingerprints match (modulo FNV
-    /// collisions) — the pr9 gate counter.
+    /// collisions). The gate bench's `serve` scenario pins it, and
+    /// perfbench reports it as `env.fleet_fingerprint`.
     pub fn fleet_fingerprint(&self) -> u64 {
         // INVARIANT: a poisoned lock means another thread panicked while holding it; propagating that panic is the intended failure mode.
         let tenants = self.shared.tenants.read().expect("tenant table poisoned");
@@ -721,6 +751,80 @@ impl fmt::Debug for Serve {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tenant::TenantSpec;
+    use deco_local::{Fate, Transport};
+    use deco_stream::RecolorConfig;
+    use std::sync::mpsc;
+
+    /// A transport whose every fate panics: the first incremental repair
+    /// that posts a message over it unwinds out of the engine.
+    #[derive(Debug)]
+    struct PanickingTransport;
+
+    impl Transport for PanickingTransport {
+        fn fate(&self, _slot: usize, _round: usize) -> Fate {
+            panic!("injected transport fault")
+        }
+    }
+
+    /// Runs `f` on a helper thread and fails the test if it has not
+    /// returned within a minute, instead of hanging the suite. A hung
+    /// helper cannot be joined, so it is left behind.
+    fn within_deadline(what: &str, f: impl FnOnce() + Send + 'static) {
+        let (done, finished) = mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            f();
+            let _ = done.send(());
+        });
+        if let Err(mpsc::RecvTimeoutError::Timeout) = finished.recv_timeout(Duration::from_secs(60))
+        {
+            panic!("{what} did not return within 60 s");
+        }
+        helper.join().unwrap_or_else(|_| panic!("{what} panicked"));
+    }
+
+    /// Queues a 40-vertex path and commits it: the from-scratch build
+    /// commit, which always runs in-process.
+    fn build_path(serve: &Serve, id: TenantId) {
+        for v in 0..39 {
+            serve.submit(id, TraceOp::Insert(v, v + 1)).unwrap();
+        }
+        serve.commit(id).unwrap();
+    }
+
+    #[test]
+    fn an_engine_panic_quarantines_its_tenant_and_the_service_drains() {
+        let serve = Arc::new(Serve::start(ServeConfig::default().with_shards(2)));
+        let faulty = RecolorConfig::default().with_transport(Arc::new(PanickingTransport));
+        let bad = serve.register(TenantSpec::new("bad", 40).with_config(faulty)).unwrap();
+        let good = serve.register(TenantSpec::new("good", 40)).unwrap();
+        build_path(&serve, bad);
+        build_path(&serve, good);
+        // One chord is an incremental repair, which runs over the transport.
+        serve.submit(bad, TraceOp::Insert(0, 2)).unwrap();
+        serve.commit(bad).unwrap();
+        let s = Arc::clone(&serve);
+        within_deadline("drain after the panic", move || s.drain());
+
+        let errors = serve.errors(bad).unwrap();
+        assert_eq!(errors.len(), 1, "one panic entry: {errors:?}");
+        assert_eq!(errors[0].commits, 1, "the build commit published");
+        assert!(errors[0].message.contains("injected transport fault"), "{errors:?}");
+        assert_eq!(serve.submit(bad, TraceOp::Insert(3, 5)), Err(ServeError::Quarantined(bad)));
+        assert_eq!(serve.snapshot(bad).unwrap().commits, 1, "the last good snapshot stays");
+
+        // The healthy tenant keeps committing and publishing.
+        serve.submit(good, TraceOp::Insert(0, 2)).unwrap();
+        serve.commit(good).unwrap();
+        let s = Arc::clone(&serve);
+        within_deadline("drain of the healthy tenant", move || s.drain());
+        assert!(serve.errors(good).unwrap().is_empty());
+        let snap = serve.snapshot(good).unwrap();
+        assert_eq!((snap.commits, snap.m), (2, 40));
+        within_deadline("shutdown", move || {
+            Arc::try_unwrap(serve).expect("the helper threads let go").shutdown();
+        });
+    }
 
     #[test]
     fn a_claim_enqueued_after_an_empty_scan_ends_the_wait() {

@@ -116,7 +116,8 @@ impl TenantSnapshot {
     /// FNV-1a fingerprint of the snapshot's deterministic content (epoch,
     /// shape, every edge, every color). Bit-identical runs produce equal
     /// fingerprints whatever the shard count — the serve determinism
-    /// tests and the pr9 bench gate hang off this.
+    /// tests, the gate bench's `serve` scenario and perfbench's
+    /// `env.fleet_fingerprint` hang off this.
     pub fn fingerprint(&self) -> u64 {
         let mut f = Fnv::new();
         f.word(self.epoch);
@@ -136,9 +137,10 @@ impl TenantSnapshot {
     }
 }
 
-/// A recorded per-tenant failure: the engine survived (commit errors leave
-/// the previous snapshot intact; queue errors quarantine the tenant), the
-/// service kept running, the error is reported out of band.
+/// A recorded per-tenant failure: commit errors leave the previous
+/// snapshot intact and the tenant live; queue errors and engine panics
+/// quarantine the tenant. Either way the service kept running and the
+/// error is reported out of band.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantError {
     /// Commits the tenant had applied when the failure happened.
@@ -186,8 +188,8 @@ pub(crate) struct Exec {
     pub(crate) commit_walls: Vec<std::time::Duration>,
     /// Failures survived so far.
     pub(crate) errors: Vec<TenantError>,
-    /// Set once a queue-side failure poisons the batch state; subsequent
-    /// messages are discarded and submissions rejected.
+    /// Set once a queue-side failure poisons the batch state or the engine
+    /// panics; subsequent messages are discarded and submissions rejected.
     pub(crate) quarantined: bool,
 }
 

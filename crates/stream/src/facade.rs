@@ -65,8 +65,10 @@ pub trait RegionRecolor {
     fn commits(&self) -> usize;
 
     /// The current committed snapshot, materialized in lexicographic edge
-    /// order (both stores agree bit for bit; for the segmented store this
-    /// clones through `SegmentedGraph::to_graph`).
+    /// order (both stores agree bit for bit). The legacy store clones its
+    /// CSR; the segmented store builds it with `SegmentedGraph::to_graph`,
+    /// one linear O(n + m) walk of its neighbor-sorted segments with no
+    /// sorting.
     fn snapshot(&self) -> Graph;
 
     /// The current coloring in lexicographic edge order — index `i`

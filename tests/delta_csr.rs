@@ -120,6 +120,7 @@ fn random_batch(
     // (including rejected batches, which must leave it untouched).
     seg.check_consistency();
     let (sg_graph, idmap) = seg.to_graph();
+    assert_eq!(seg.lex_edge_ids(), idmap, "the two publish walks disagree");
     assert_eq!(&sg_graph, fast.graph(), "segmented materialization diverged");
     for (lex, &id) in idmap.iter().enumerate() {
         assert_eq!(sg_graph.endpoints(lex), seg.endpoints(id as usize));

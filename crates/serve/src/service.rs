@@ -3,17 +3,22 @@
 //!
 //! # Scheduling model
 //!
-//! The unit of scheduling is a **tenant claim**, not a message. When a
-//! submission makes an idle tenant's inbox non-empty, the tenant is marked
-//! `scheduled` and its id is pushed onto its home shard's queue
-//! (`id % shards`). A worker that claims the id drains the inbox to empty
-//! under the tenant's executor lock, then clears the flag (re-enqueueing
-//! if more arrived in the meantime). Work stealing moves *claims* between
-//! shards — a tenant's messages still apply strictly in submission order,
-//! because at most one worker ever holds its claim. That single-drainer
-//! invariant, combined with the [`RegionRecolor`] determinism contract, is
-//! the service's determinism theorem: per-tenant commit reports, colorings
-//! and snapshots are bit-identical at *any* shard count, 1 through N.
+//! The unit of scheduling is a **tenant claim**, not a message. A claim
+//! marks the tenant `scheduled` and pushes its id onto its home shard's
+//! queue (`id % shards`). A submission claims an idle tenant only when a
+//! worker must act: it is a commit or a compaction request, it fills the
+//! inbox to half of `queue_depth`, or a [`Serve::drain`] is running. A
+//! trace operation otherwise waits in the inbox, unclaimed, so a batch of
+//! operations and its commit cost one claim and one worker wakeup, not
+//! one per operation. A worker that claims the id takes the whole inbox
+//! under one lock, applies it under the tenant's executor lock, and
+//! repeats until it finds the inbox empty; then it clears the flag. Work
+//! stealing moves *claims* between shards — a tenant's messages still
+//! apply strictly in submission order, because at most one worker ever
+//! holds its claim. That single-drainer invariant, combined with the
+//! [`RegionRecolor`] determinism contract, is the service's determinism
+//! theorem: per-tenant commit reports, colorings and snapshots are
+//! bit-identical at *any* shard count, 1 through N, and at any queue depth.
 //!
 //! # Flow control
 //!
@@ -22,7 +27,9 @@
 //! * **bounded inboxes** — [`Serve::submit`] rejects with
 //!   [`ServeError::Backpressure`] when the tenant's queue is at
 //!   `queue_depth`; [`Serve::submit_blocking`] parks the caller until a
-//!   worker pops.
+//!   worker takes the inbox. The half-depth claim (at least one message)
+//!   means a full inbox always has a worker coming, so a blocking
+//!   submitter never waits on an inbox nobody will drain.
 //! * **admission quota** — every commit's `stats.node_rounds` (the
 //!   simulator's stepped-node-rounds cost, the workspace's standing cost
 //!   currency) accrues to the tenant; past `cost_quota` new submissions
@@ -34,9 +41,8 @@
 //!   accumulator, so hot tenants compact proportionally to the repair
 //!   work they generate (and idle tenants never do).
 
-use crate::snapshot::Swap;
 use crate::tenant::{
-    reports_fingerprint, EngineKind, Exec, Inbox, Tenant, TenantError, TenantMsg, TenantSnapshot,
+    reports_fingerprint, EngineKind, Exec, Tenant, TenantError, TenantMsg, TenantSnapshot,
     TenantSpec,
 };
 use deco_core::params::ParamError;
@@ -48,7 +54,7 @@ use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Duration;
 
@@ -191,10 +197,18 @@ struct Shared {
     /// that saw an empty scan sleeps only if nothing arrived since.
     work: Mutex<u64>,
     work_cv: Condvar,
-    /// Messages accepted but not yet fully processed; [`Serve::drain`]
-    /// waits for 0.
-    inflight: Mutex<u64>,
-    quiet: Condvar,
+    /// Messages accepted but not yet applied, claimed or not; a worker
+    /// subtracts a taken inbox once it is applied. [`Serve::drain`] claims
+    /// the unclaimed ones and waits for 0.
+    inflight: AtomicU64,
+    /// [`Serve::drain`]'s sleep: a worker that brings `inflight` to 0
+    /// takes this lock before notifying, so a drain that saw a non-zero
+    /// count under it cannot miss the wakeup.
+    quiet: Mutex<()>,
+    quiet_cv: Condvar,
+    /// Running [`Serve::drain`] calls; while non-zero every submission to
+    /// an idle tenant claims it.
+    draining: AtomicUsize,
     shutdown: AtomicBool,
 }
 
@@ -206,8 +220,10 @@ impl Shared {
             tenants: RwLock::new(Vec::new()),
             work: Mutex::new(0),
             work_cv: Condvar::new(),
-            inflight: Mutex::new(0),
-            quiet: Condvar::new(),
+            inflight: AtomicU64::new(0),
+            quiet: Mutex::new(()),
+            quiet_cv: Condvar::new(),
+            draining: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
         }
     }
@@ -251,78 +267,76 @@ impl Shared {
         None
     }
 
+    /// The inbox length at which a submission claims its idle tenant:
+    /// half of `queue_depth`, at least one message.
+    fn claim_at(&self) -> usize {
+        (self.cfg.queue_depth / 2).max(1)
+    }
+
     fn finish_messages(&self, count: u64) {
-        if count == 0 {
-            return;
-        }
-        // INVARIANT: a poisoned lock means another thread panicked while holding it; propagating that panic is the intended failure mode.
-        let mut inflight = self.inflight.lock().expect("inflight poisoned");
-        *inflight -= count;
-        if *inflight == 0 {
-            self.quiet.notify_all();
+        if self.inflight.fetch_sub(count, Ordering::SeqCst) == count {
+            // INVARIANT: a poisoned lock means another thread panicked while holding it; propagating that panic is the intended failure mode.
+            drop(self.quiet.lock().expect("quiet lock poisoned"));
+            self.quiet_cv.notify_all();
         }
     }
 
-    /// Drains one claimed tenant to empty. Returns with the tenant either
-    /// unscheduled (inbox empty) — the next submission re-enqueues it —
-    /// or never unscheduled here because pops and the flag share the
-    /// inbox lock.
+    /// Drains one claimed tenant to empty, taking its whole inbox at a
+    /// time by swapping in `batch` (empty on entry and on return, its
+    /// capacity reused). Returns with the tenant unscheduled: the flag is
+    /// cleared under the same inbox lock that found the queue empty.
     ///
     /// A panic inside the tenant's engine is caught per message, inside
     /// the executor guard (so the mutex is not poisoned): the tenant is
     /// quarantined with the panic message as its error, the message still
     /// counts as processed, and the worker goes on draining.
-    fn drain_tenant(&self, id: TenantId) {
+    fn drain_tenant(&self, id: TenantId, batch: &mut VecDeque<TenantMsg>) {
         let Ok(tenant) = self.tenant(id) else { return };
         // INVARIANT: a poisoned lock means another thread panicked while holding it; propagating that panic is the intended failure mode.
         let mut exec = tenant.exec.lock().expect("tenant executor poisoned");
-        let mut processed = 0u64;
         loop {
-            let msg = {
+            {
                 // INVARIANT: a poisoned lock means another thread panicked while holding it; propagating that panic is the intended failure mode.
                 let mut inbox = tenant.inbox.lock().expect("tenant inbox poisoned");
-                match inbox.queue.pop_front() {
-                    Some(msg) => {
-                        tenant.space.notify_one();
-                        msg
-                    }
-                    None => {
-                        inbox.scheduled = false;
-                        break;
-                    }
+                if inbox.queue.is_empty() {
+                    inbox.scheduled = false;
+                    break;
                 }
-            };
-            let run = AssertUnwindSafe(|| self.process(&tenant, &mut exec, msg));
-            if let Err(payload) = catch_unwind(run) {
-                // The engine's state is unknowable after an unwind, so the
-                // tenant stops, exactly as after a queue-side failure, and
-                // the count comes from the transcript, not the engine.
-                let commits = exec.reports.len();
-                exec.errors.push(TenantError {
-                    commits,
-                    message: format!("panic: {}", panic_text(&*payload)),
-                });
-                exec.quarantined = true;
+                if inbox.queue.len() >= self.cfg.queue_depth {
+                    tenant.space.notify_all(); // only a full inbox has waiters
+                }
+                std::mem::swap(&mut inbox.queue, batch);
             }
-            processed += 1;
-            // Publish progress eagerly so `drain` callers waiting on the
-            // quiet condvar see long drains advance.
-            if processed >= 64 {
-                self.finish_messages(processed);
-                processed = 0;
+            let taken = batch.len() as u64;
+            for msg in batch.drain(..) {
+                let run = AssertUnwindSafe(|| self.process(&tenant, &mut exec, msg));
+                if let Err(payload) = catch_unwind(run) {
+                    // The engine's state is unknowable after an unwind, so
+                    // the tenant stops, exactly as after a queue-side
+                    // failure, and the count comes from the transcript,
+                    // not the engine.
+                    let commits = exec.reports.len();
+                    exec.errors.push(TenantError {
+                        commits,
+                        message: format!("panic: {}", panic_text(&*payload)),
+                    });
+                    tenant.quarantined.store(true, Ordering::SeqCst);
+                }
             }
+            self.finish_messages(taken);
         }
-        drop(exec);
-        self.finish_messages(processed);
     }
 
-    /// Applies one message to the claimed tenant's engine.
+    /// Applies one message to the claimed tenant's engine. A quarantined
+    /// tenant's engine is never called again: after a queue error its
+    /// batch state is unknowable, and after a caught panic it may be
+    /// half-committed.
     fn process(&self, tenant: &Tenant, exec: &mut Exec, msg: TenantMsg) {
+        if tenant.quarantined.load(Ordering::SeqCst) {
+            return; // discard until the end
+        }
         match msg {
             TenantMsg::Op(op) => {
-                if exec.quarantined {
-                    return; // poisoned batch state: discard until the end
-                }
                 if let Err(e) = exec.engine.queue_op(op) {
                     // The engine's queued prefix is now unknowable to the
                     // submitter, so the whole tenant stops: deterministic,
@@ -330,13 +344,10 @@ impl Shared {
                     let commits = exec.engine.commits();
                     exec.errors
                         .push(TenantError { commits, message: format!("queue {op:?}: {e}") });
-                    exec.quarantined = true;
+                    tenant.quarantined.store(true, Ordering::SeqCst);
                 }
             }
             TenantMsg::Commit => {
-                if exec.quarantined {
-                    return;
-                }
                 // tidy: allow(wall-clock) — engine-side commit latency is
                 // informational (p50/p99 report lines); transcripts and
                 // fingerprints never read the clock.
@@ -370,18 +381,7 @@ impl Shared {
             }
         }
         exec.reports.push(report);
-        let commits = exec.engine.commits();
-        let graph = exec.engine.snapshot();
-        tenant.snap.store(Arc::new(TenantSnapshot {
-            epoch: commits as u64,
-            commits,
-            n: graph.n(),
-            m: graph.m(),
-            max_degree: graph.max_degree(),
-            color_bound: exec.engine.color_bound(),
-            coloring: exec.engine.coloring(),
-            graph,
-        }));
+        tenant.snap.store(Arc::new(TenantSnapshot::capture(&*exec.engine)));
     }
 
     /// The wake version: bumped by every enqueue.
@@ -409,13 +409,14 @@ impl Shared {
     }
 
     fn worker(&self, home: usize) {
+        let mut batch = VecDeque::new();
         loop {
             // Read the version *before* scanning: a claim enqueued after
             // the scan has then bumped it past `seen`, and the wait below
             // returns at once instead of sleeping out its timeout.
             let seen = self.work_version();
             if let Some(id) = self.next_claim(home) {
-                self.drain_tenant(id);
+                self.drain_tenant(id, &mut batch);
                 continue;
             }
             if self.shutdown.load(Ordering::SeqCst) {
@@ -476,36 +477,10 @@ impl Serve {
                 Box::new(SegRecolorer::new_with(spec.n0, spec.params, spec.mode, spec.config)?)
             }
         };
-        let graph = engine.snapshot();
-        let snapshot = TenantSnapshot {
-            epoch: 0,
-            commits: 0,
-            n: graph.n(),
-            m: graph.m(),
-            max_degree: graph.max_degree(),
-            color_bound: engine.color_bound(),
-            coloring: engine.coloring(),
-            graph,
-        };
         // INVARIANT: a poisoned lock means another thread panicked while holding it; propagating that panic is the intended failure mode.
         let mut tenants = self.shared.tenants.write().expect("tenant table poisoned");
         let id = tenants.len();
-        tenants.push(Arc::new(Tenant {
-            name: spec.name,
-            shard: id % self.shared.cfg.shards,
-            inbox: Mutex::new(Inbox { queue: VecDeque::new(), scheduled: false }),
-            space: Condvar::new(),
-            exec: Mutex::new(Exec {
-                engine,
-                reports: Vec::new(),
-                commit_walls: Vec::new(),
-                cost_since_compaction: 0,
-                errors: Vec::new(),
-                quarantined: false,
-            }),
-            snap: Swap::new(Arc::new(snapshot)),
-            cost: AtomicU64::new(0),
-        }));
+        tenants.push(Arc::new(Tenant::new(spec.name, id % self.shared.cfg.shards, engine)));
         Ok(id)
     }
 
@@ -522,12 +497,15 @@ impl Serve {
     }
 
     fn push(&self, id: TenantId, msg: TenantMsg, block: bool) -> Result<(), ServeError> {
-        let tenant = self.shared.tenant(id)?;
+        let shared = &*self.shared;
+        let tenant = shared.tenant(id)?;
         self.admit(id, &tenant)?;
+        // A commit or compaction needs a worker now; an operation can wait.
+        let urgent = !matches!(msg, TenantMsg::Op(_));
         let schedule = {
             // INVARIANT: a poisoned lock means another thread panicked while holding it; propagating that panic is the intended failure mode.
             let mut inbox = tenant.inbox.lock().expect("tenant inbox poisoned");
-            while inbox.queue.len() >= self.shared.cfg.queue_depth {
+            while inbox.queue.len() >= shared.cfg.queue_depth {
                 if !block {
                     return Err(ServeError::Backpressure(id));
                 }
@@ -535,26 +513,36 @@ impl Serve {
                 inbox = tenant.space.wait(inbox).expect("tenant inbox poisoned");
             }
             // Quarantine is decided on the executor side; check it late so
-            // the answer reflects everything drained so far.
-            if tenant.exec.try_lock().map(|e| e.quarantined).unwrap_or(false) {
+            // the answer reflects everything applied so far.
+            if tenant.quarantined.load(Ordering::SeqCst) {
                 return Err(ServeError::Quarantined(id));
             }
             // Count the message in-flight *before* a worker can see it, or
             // a fast drain could decrement the counter below zero.
-            // INVARIANT: a poisoned lock means another thread panicked while holding it; propagating that panic is the intended failure mode.
-            *self.shared.inflight.lock().expect("inflight poisoned") += 1;
+            shared.inflight.fetch_add(1, Ordering::SeqCst);
             inbox.queue.push_back(msg);
-            let claim = !inbox.scheduled;
-            inbox.scheduled = true;
+            // Read `draining` under the inbox lock: a drain whose scan
+            // takes this lock after us sees the message, and one whose scan
+            // took it before us is already counted.
+            let claim = !inbox.scheduled
+                && (urgent
+                    || inbox.queue.len() >= shared.claim_at()
+                    || shared.draining.load(Ordering::SeqCst) > 0);
+            inbox.scheduled |= claim;
             claim
         };
         if schedule {
-            self.shared.enqueue_claim(tenant.shard, id);
+            shared.enqueue_claim(tenant.shard, id);
         }
         Ok(())
     }
 
-    /// Queues one trace operation, non-blocking.
+    /// Queues one trace operation, non-blocking. The operation is applied
+    /// when a worker next takes the tenant: at its commit, once the inbox
+    /// is half full, or at a [`Serve::drain`]. An operation the engine
+    /// refuses (an out-of-range vertex, say) quarantines the tenant only
+    /// then, so later submissions may still be accepted until it is
+    /// applied.
     ///
     /// # Errors
     ///
@@ -568,7 +556,10 @@ impl Serve {
 
     /// Queues one trace operation, parking the caller while the inbox is
     /// full (the deterministic-throughput path: no submission is ever
-    /// dropped, so the accepted stream equals the submitted stream).
+    /// dropped, so the accepted stream equals the submitted stream). The
+    /// operation is applied, and a queue error surfaces, as for
+    /// [`Serve::submit`]; a full inbox always has a worker coming, so the
+    /// wait ends.
     ///
     /// # Errors
     ///
@@ -578,7 +569,7 @@ impl Serve {
     }
 
     /// Queues a commit of everything submitted since the previous one,
-    /// non-blocking.
+    /// non-blocking, and claims the tenant so a worker applies the batch.
     ///
     /// # Errors
     ///
@@ -681,16 +672,38 @@ impl Serve {
         self.shared.tenants.read().expect("tenant table poisoned").len()
     }
 
-    /// Blocks until every accepted message has been fully processed.
-    /// Quiescence is momentary if other threads keep submitting; the
-    /// tests and the CLI call this after their last submission.
+    /// Blocks until every accepted message has been fully processed,
+    /// operations without a commit included: it claims every tenant that
+    /// holds unclaimed messages, and while it waits every submission
+    /// claims its tenant at once. Quiescence is momentary if other threads
+    /// keep submitting; the tests and the CLI call this after their last
+    /// submission.
     pub fn drain(&self) {
+        let shared = &*self.shared;
+        // Count this drain before scanning; see the matching read in `push`.
+        shared.draining.fetch_add(1, Ordering::SeqCst);
         // INVARIANT: a poisoned lock means another thread panicked while holding it; propagating that panic is the intended failure mode.
-        let mut inflight = self.shared.inflight.lock().expect("inflight poisoned");
-        while *inflight > 0 {
-            // INVARIANT: a poisoned lock means another thread panicked while holding it; propagating that panic is the intended failure mode.
-            inflight = self.shared.quiet.wait(inflight).expect("inflight poisoned");
+        let tenants = shared.tenants.read().expect("tenant table poisoned").clone();
+        for (id, tenant) in tenants.iter().enumerate() {
+            let claim = {
+                // INVARIANT: a poisoned lock means another thread panicked while holding it; propagating that panic is the intended failure mode.
+                let mut inbox = tenant.inbox.lock().expect("tenant inbox poisoned");
+                let claim = !inbox.scheduled && !inbox.queue.is_empty();
+                inbox.scheduled |= claim;
+                claim
+            };
+            if claim {
+                shared.enqueue_claim(tenant.shard, id);
+            }
         }
+        // INVARIANT: a poisoned lock means another thread panicked while holding it; propagating that panic is the intended failure mode.
+        let mut quiet = shared.quiet.lock().expect("quiet lock poisoned");
+        while shared.inflight.load(Ordering::SeqCst) > 0 {
+            // INVARIANT: a poisoned lock means another thread panicked while holding it; propagating that panic is the intended failure mode.
+            quiet = shared.quiet_cv.wait(quiet).expect("quiet lock poisoned");
+        }
+        drop(quiet);
+        shared.draining.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// One fingerprint over the whole fleet: every tenant's report
@@ -752,7 +765,11 @@ impl fmt::Debug for Serve {
 mod tests {
     use super::*;
     use crate::tenant::TenantSpec;
+    use deco_core::edge::legal::{edge_log_depth, MessageMode};
+    use deco_graph::coloring::EdgeColoring;
+    use deco_graph::{Graph, GraphError};
     use deco_local::{Fate, Transport};
+    use deco_probe::Probe;
     use deco_stream::RecolorConfig;
     use std::sync::mpsc;
 
@@ -764,6 +781,40 @@ mod tests {
     impl Transport for PanickingTransport {
         fn fate(&self, _slot: usize, _round: usize) -> Fate {
             panic!("injected transport fault")
+        }
+    }
+
+    /// An engine whose mutating calls panic, for a tenant that must never
+    /// reach them; the reads come from an edgeless engine.
+    struct MustNotRun(Recolorer);
+
+    impl RegionRecolor for MustNotRun {
+        fn queue_op(&mut self, _op: TraceOp) -> Result<(), GraphError> {
+            panic!("queue_op reached the engine")
+        }
+        fn commit(&mut self) -> Result<CommitReport, GraphError> {
+            panic!("commit reached the engine")
+        }
+        fn commits(&self) -> usize {
+            RegionRecolor::commits(&self.0)
+        }
+        fn snapshot(&self) -> Graph {
+            RegionRecolor::snapshot(&self.0)
+        }
+        fn coloring(&self) -> EdgeColoring {
+            RegionRecolor::coloring(&self.0)
+        }
+        fn color_bound(&self) -> u64 {
+            RegionRecolor::color_bound(&self.0)
+        }
+        fn request_compaction(&mut self) {
+            panic!("request_compaction reached the engine")
+        }
+        fn verify(&self) -> Result<(), String> {
+            RegionRecolor::verify(&self.0)
+        }
+        fn probe(&self) -> &Arc<dyn Probe> {
+            RegionRecolor::probe(&self.0)
         }
     }
 
@@ -836,5 +887,113 @@ mod tests {
         shared.enqueue_claim(0, 0);
         assert!(!shared.wait_for_work(seen), "the wait must end on the version bump");
         assert_eq!(shared.next_claim(0), Some(0));
+    }
+
+    #[test]
+    fn a_quarantined_tenants_engine_is_never_called() {
+        let shared = Shared::new(ServeConfig::default());
+        let engine = Recolorer::new(4, edge_log_depth(1), MessageMode::Long).unwrap();
+        let tenant = Tenant::new("quarantined".into(), 0, Box::new(MustNotRun(engine)));
+        tenant.quarantined.store(true, Ordering::SeqCst);
+        let mut exec = tenant.exec.lock().unwrap();
+        for msg in [TenantMsg::Compact, TenantMsg::Op(TraceOp::Insert(0, 1)), TenantMsg::Commit] {
+            shared.process(&tenant, &mut exec, msg);
+        }
+        assert!(exec.errors.is_empty() && exec.reports.is_empty());
+    }
+
+    #[test]
+    fn drain_applies_operations_no_commit_claimed() {
+        let serve = Arc::new(Serve::start(ServeConfig::default().with_shards(1)));
+        let id = serve.register(TenantSpec::new("lone", 4)).unwrap();
+        // Out of range: a queue error, but only once a worker applies it.
+        serve.submit(id, TraceOp::Insert(0, 99)).unwrap();
+        let s = Arc::clone(&serve);
+        within_deadline("drain of an unclaimed operation", move || s.drain());
+        assert_eq!(serve.errors(id).unwrap().len(), 1, "the drain applied the operation");
+        assert_eq!(serve.submit(id, TraceOp::Insert(0, 1)), Err(ServeError::Quarantined(id)));
+    }
+
+    #[test]
+    fn drain_returns_while_another_thread_keeps_submitting() {
+        // A depth far above the submissions keeps the half-depth claim out
+        // of play: only the drain can get these operations applied.
+        let cfg = ServeConfig::default().with_shards(1).with_queue_depth(1 << 20);
+        let serve = Arc::new(Serve::start(cfg));
+        let id = serve.register(TenantSpec::new("fed", 8)).unwrap();
+        serve.submit(id, TraceOp::Insert(0, 1)).unwrap();
+        // A message the drain waits for, finished by hand once the
+        // submitter is done, so every submission below lands mid-drain.
+        serve.shared.inflight.fetch_add(1, Ordering::SeqCst);
+        let seen = serve.shared.work_version();
+        let s = Arc::clone(&serve);
+        let submitter = std::thread::spawn(move || {
+            let tenant = s.shared.tenant(id).unwrap();
+            let idle = || {
+                let inbox = tenant.inbox.lock().unwrap();
+                inbox.queue.is_empty() && !inbox.scheduled
+            };
+            // Only the drain's scan claims the unclaimed operation.
+            while s.shared.work_version() == seen {
+                std::thread::yield_now();
+            }
+            for v in 1..7 {
+                while !idle() {
+                    std::thread::yield_now();
+                }
+                s.submit(id, TraceOp::Insert(v, v + 1)).unwrap();
+            }
+            while !idle() {
+                std::thread::yield_now();
+            }
+            s.shared.finish_messages(1);
+        });
+        let s = Arc::clone(&serve);
+        within_deadline("drain while another thread submits", move || s.drain());
+        submitter.join().expect("submitter panicked");
+        serve.commit(id).unwrap();
+        serve.drain();
+        assert_eq!(serve.snapshot(id).unwrap().m, 7, "every submission was applied");
+    }
+
+    #[test]
+    fn blocking_submissions_without_a_commit_never_hang() {
+        let serve =
+            Arc::new(Serve::start(ServeConfig::default().with_shards(1).with_queue_depth(4)));
+        let id = serve.register(TenantSpec::new("narrow", 101)).unwrap();
+        let s = Arc::clone(&serve);
+        within_deadline("100 blocking submissions into a 4-deep inbox", move || {
+            for v in 0..100 {
+                s.submit_blocking(id, TraceOp::Insert(v, v + 1)).unwrap();
+            }
+        });
+        serve.commit(id).unwrap();
+        serve.drain();
+        assert_eq!(serve.snapshot(id).unwrap().m, 100);
+    }
+
+    #[test]
+    fn operations_claim_their_tenant_only_at_half_depth() {
+        let serve = Arc::new(Serve::start(ServeConfig::default().with_shards(1)));
+        let id = serve.register(TenantSpec::new("batched", 2001)).unwrap();
+        let (ops, half) = (2000, serve.shared.claim_at());
+        let before = serve.shared.work_version();
+        for v in 0..half - 1 {
+            serve.submit(id, TraceOp::Insert(v, v + 1)).unwrap();
+        }
+        assert_eq!(serve.shared.work_version(), before, "operations below half depth claimed");
+        let s = Arc::clone(&serve);
+        within_deadline("a batch and its commit", move || {
+            for v in half - 1..ops {
+                s.submit_blocking(id, TraceOp::Insert(v, v + 1)).unwrap();
+            }
+            s.commit_blocking(id).unwrap();
+            s.drain();
+        });
+        // Only `enqueue_claim` bumps the wake version.
+        let claims = serve.shared.work_version() - before;
+        let bound = ops.div_ceil(half) + 1;
+        assert!(claims <= bound as u64, "{claims} claims for {ops} operations and a commit");
+        assert_eq!(serve.snapshot(id).unwrap().m, ops);
     }
 }

@@ -10,8 +10,8 @@ use deco_graph::Graph;
 use deco_probe::Fnv;
 use deco_stream::{CommitReport, RecolorConfig, RegionRecolor, RepairStrategy};
 use std::collections::VecDeque;
-use std::sync::atomic::AtomicU64;
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Which commit representation a tenant's engine uses. Both sides of the
 /// [`RegionRecolor`] facade produce identical colorings (the engine-parity
@@ -113,6 +113,22 @@ pub struct TenantSnapshot {
 }
 
 impl TenantSnapshot {
+    /// The engine's committed state, stamped with its commit count.
+    pub(crate) fn capture(engine: &dyn RegionRecolor) -> TenantSnapshot {
+        let commits = engine.commits();
+        let graph = engine.snapshot();
+        TenantSnapshot {
+            epoch: commits as u64,
+            commits,
+            n: graph.n(),
+            m: graph.m(),
+            max_degree: graph.max_degree(),
+            color_bound: engine.color_bound(),
+            coloring: engine.coloring(),
+            graph,
+        }
+    }
+
     /// FNV-1a fingerprint of the snapshot's deterministic content (epoch,
     /// shape, every edge, every color). Bit-identical runs produce equal
     /// fingerprints whatever the shard count — the serve determinism
@@ -168,6 +184,9 @@ pub(crate) struct Inbox {
     /// True while the tenant sits in a shard queue or a worker is
     /// draining it; exactly one worker processes a tenant at a time, so
     /// messages apply in submission order regardless of shard count.
+    /// False with a non-empty queue while only unclaimed operations wait:
+    /// a commit, a compaction request, a half-full queue or a running
+    /// [`Serve::drain`](crate::Serve::drain) claims them.
     pub(crate) scheduled: bool,
 }
 
@@ -188,9 +207,6 @@ pub(crate) struct Exec {
     pub(crate) commit_walls: Vec<std::time::Duration>,
     /// Failures survived so far.
     pub(crate) errors: Vec<TenantError>,
-    /// Set once a queue-side failure poisons the batch state or the engine
-    /// panics; subsequent messages are discarded and submissions rejected.
-    pub(crate) quarantined: bool,
 }
 
 /// A registered tenant.
@@ -200,8 +216,8 @@ pub(crate) struct Tenant {
     /// the home shard only fixes where the claim is enqueued.
     pub(crate) shard: usize,
     pub(crate) inbox: Mutex<Inbox>,
-    /// Signalled per popped message; blocking submitters wait here for
-    /// inbox space.
+    /// Signalled when a worker takes a full inbox; blocking submitters
+    /// wait here for space, and only a full inbox makes them wait.
     pub(crate) space: Condvar,
     pub(crate) exec: Mutex<Exec>,
     /// The published snapshot cell (lock-free readers).
@@ -209,6 +225,34 @@ pub(crate) struct Tenant {
     /// Total committed `node_rounds` — the admission currency, readable
     /// without any lock.
     pub(crate) cost: AtomicU64,
+    /// Set by the worker once a queue-side failure poisons the batch state
+    /// or the engine panics; later messages are discarded unapplied and
+    /// submissions rejected, without contending for the executor lock.
+    pub(crate) quarantined: AtomicBool,
+}
+
+impl Tenant {
+    /// A tenant with an empty inbox, publishing `engine`'s current state
+    /// (epoch 0 for a fresh engine).
+    pub(crate) fn new(name: String, shard: usize, engine: Box<dyn RegionRecolor + Send>) -> Tenant {
+        let snapshot = TenantSnapshot::capture(&*engine);
+        Tenant {
+            name,
+            shard,
+            inbox: Mutex::new(Inbox { queue: VecDeque::new(), scheduled: false }),
+            space: Condvar::new(),
+            exec: Mutex::new(Exec {
+                engine,
+                reports: Vec::new(),
+                commit_walls: Vec::new(),
+                cost_since_compaction: 0,
+                errors: Vec::new(),
+            }),
+            snap: Swap::new(Arc::new(snapshot)),
+            cost: AtomicU64::new(0),
+            quarantined: AtomicBool::new(false),
+        }
+    }
 }
 
 /// FNV-1a fingerprint of a commit-report transcript: every deterministic

@@ -1,15 +1,20 @@
 //! The `deco-serve` determinism theorem, pinned: the same tenant traces
 //! produce **byte-identical** per-tenant `CommitReport` transcripts,
-//! snapshots and colorings at any shard count, because per-tenant commit
-//! order is total (single-drainer claims) and every commit is
-//! deterministic (the `RegionRecolor` contract). Work stealing may move
-//! tenants between workers freely; results must not notice.
+//! snapshots and colorings at any shard count and any queue depth,
+//! because per-tenant commit order is total (single-drainer claims) and
+//! every commit is deterministic (the `RegionRecolor` contract). Work
+//! stealing may move tenants between workers freely, and the depth only
+//! moves when a tenant's operations are claimed; results must not notice.
 
 use deco_graph::trace::{churn_trace, Trace};
 use deco_serve::{EngineKind, Serve, ServeConfig, TenantSpec};
 use deco_stream::{CommitReport, RecolorConfig};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
+
+/// Depth 1 claims a tenant on every operation; the larger depths leave
+/// operations unclaimed until their commit or a half-full inbox.
+const QUEUE_DEPTHS: [usize; 3] = [1, 2, 1024];
 
 /// One tenant's settled outcome: the full report transcript plus the
 /// final published snapshot's fingerprint.
@@ -18,11 +23,11 @@ type Outcome = (Vec<CommitReport>, u64);
 /// Builds a small heterogeneous fleet (engines, thresholds and trace
 /// seeds all varying per tenant), streams every trace, drains, and
 /// returns per-tenant outcomes in registration order.
-fn run_fleet(shards: usize, tenants: usize) -> (Vec<Outcome>, u64) {
+fn run_fleet(shards: usize, depth: usize, tenants: usize) -> (Vec<Outcome>, u64) {
     let traces: Vec<Trace> = (0..tenants as u64)
         .map(|i| churn_trace(36 + (i as usize % 5) * 8, 4, 3, 4, 0xf1ee7 ^ i))
         .collect();
-    let serve = Serve::start(ServeConfig::default().with_shards(shards));
+    let serve = Serve::start(ServeConfig::default().with_shards(shards).with_queue_depth(depth));
     let ids: Vec<_> = traces
         .iter()
         .enumerate()
@@ -67,20 +72,17 @@ fn run_fleet(shards: usize, tenants: usize) -> (Vec<Outcome>, u64) {
 #[test]
 fn per_tenant_transcripts_are_identical_across_shard_counts() {
     let tenants = 24;
-    let baseline = run_fleet(SHARD_COUNTS[0], tenants);
-    for &shards in &SHARD_COUNTS[1..] {
-        let run = run_fleet(shards, tenants);
-        for (t, (base, got)) in baseline.0.iter().zip(&run.0).enumerate() {
-            assert_eq!(
-                base.0, got.0,
-                "tenant {t}: CommitReport transcript moved between 1 and {shards} shards"
-            );
-            assert_eq!(
-                base.1, got.1,
-                "tenant {t}: snapshot fingerprint moved between 1 and {shards} shards"
-            );
+    let baseline = run_fleet(SHARD_COUNTS[0], QUEUE_DEPTHS[0], tenants);
+    for &shards in &SHARD_COUNTS {
+        for &depth in &QUEUE_DEPTHS {
+            let run = run_fleet(shards, depth, tenants);
+            let cell = format!("{shards} shards, depth {depth}");
+            for (t, (base, got)) in baseline.0.iter().zip(&run.0).enumerate() {
+                assert_eq!(base.0, got.0, "tenant {t}: CommitReport transcript moved at {cell}");
+                assert_eq!(base.1, got.1, "tenant {t}: snapshot fingerprint moved at {cell}");
+            }
+            assert_eq!(baseline.1, run.1, "fleet fingerprint moved at {cell}");
         }
-        assert_eq!(baseline.1, run.1, "fleet fingerprint moved at {shards} shards");
     }
 }
 
@@ -92,7 +94,7 @@ fn serve_transcripts_match_direct_replay() {
     use deco_stream::{replay_trace_on, Recolorer, RegionRecolor, SegRecolorer};
 
     let tenants = 8;
-    let (outcomes, _) = run_fleet(2, tenants);
+    let (outcomes, _) = run_fleet(2, 1024, tenants);
     for (i, (reports, snap_fp)) in outcomes.iter().enumerate() {
         let trace = churn_trace(36 + (i % 5) * 8, 4, 3, 4, 0xf1ee7 ^ i as u64);
         let threshold = [10, 25, 60][i % 3];

@@ -308,8 +308,9 @@ fn workload_row(name: &str, g: &Graph, stats: RunStats) -> Value {
         .build()
 }
 
-/// Runs a protocol on the sequential slot engine, the threaded runner and
-/// the naive engine, and asserts all three agree bit for bit.
+/// Runs a protocol on the slot engine with one thread and with the default
+/// thread budget, and on the naive engine, and asserts all three agree bit
+/// for bit.
 fn protocol_row<P, F>(name: &str, g: &Graph, mk: F) -> Value
 where
     P: Protocol + Send,
@@ -317,12 +318,11 @@ where
     P::Output: PartialEq + Debug,
     F: Fn(&NodeCtx<'_>) -> P + Copy,
 {
-    let net = Network::new(g);
-    let slot = net.run(mk);
+    let slot = Network::new(g).with_threads(1).run(mk);
     let naive = Network::new(g).with_engine(Engine::Naive).run(mk);
     assert_eq!(slot.outputs, naive.outputs, "{name}: engines diverged (outputs)");
     assert_eq!(slot.stats, naive.stats, "{name}: engines diverged (stats)");
-    let (threaded, _) = net.run_profiled_threaded(mk);
+    let threaded = Network::new(g).run(mk);
     assert_eq!(threaded.outputs, slot.outputs, "{name}: threaded diverged");
     assert_eq!(threaded.stats, slot.stats, "{name}: threaded stats diverged");
     workload_row(name, g, slot.stats)
@@ -351,7 +351,8 @@ fn epoch_wave_row(g: &Graph) -> Value {
     let mk = |_: &NodeCtx<'_>| EpochWave { classes, epochs, acc: 0 };
     // Adaptive delivery is pinned: the per-round delivery trace is gated,
     // so it must not follow a DECO_DELIVERY override.
-    let (run, _, trace) = Network::new(g).with_delivery(Delivery::Adaptive).run_traced(mk);
+    let run = Network::new(g).with_delivery(Delivery::Adaptive).run(mk);
+    let trace = &run.trace;
     let scan = Network::new(g).with_delivery(Delivery::Scan).run(mk);
     assert_eq!(run.outputs, scan.outputs, "epoch wave: delivery modes diverged");
     assert_eq!(run.stats, scan.stats, "epoch wave: delivery stats diverged");
@@ -378,9 +379,9 @@ fn epoch_wave_row(g: &Graph) -> Value {
 fn thread_budget_row(g: &Graph) -> Value {
     const BUDGETS: [usize; 4] = [1, 2, 4, 8];
     let mk = |_: &NodeCtx<'_>| FloodMax { radius: 4, best: 0 };
-    let (reference, _) = Network::new(g).with_threads(BUDGETS[0]).run_profiled_threaded(mk);
+    let reference = Network::new(g).with_threads(BUDGETS[0]).run(mk);
     for threads in &BUDGETS[1..] {
-        let (run, _) = Network::new(g).with_threads(*threads).run_profiled_threaded(mk);
+        let run = Network::new(g).with_threads(*threads).run(mk);
         assert_eq!(run.outputs, reference.outputs, "threads={threads} diverged");
         assert_eq!(run.stats, reference.stats, "threads={threads} stats diverged");
     }

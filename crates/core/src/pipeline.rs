@@ -3,16 +3,16 @@
 //! Before PR 2 each driver hand-rolled the same loop: build per-node
 //! protocol state, call the simulator, sum the [`RunStats`], merge per-edge
 //! replicas, repeat for the next phase — and, because the per-node state
-//! held `Rc` tables, all of it was locked out of the threaded runner.
+//! held `Rc` tables, all of it was locked out of parallel stepping.
 //! [`Pipeline`] centralizes that boilerplate:
 //!
 //! * **Phase sequencing** — phases run in order against one [`Network`];
 //!   each phase's [`RunStats`] accumulates into the pipeline total and is
 //!   kept per phase in a [`PhaseTrace`] for diagnostics.
 //! * **Threaded execution** — every phase executes through
-//!   [`Network::run_profiled_threaded`], so all drivers inherit
-//!   deterministic parallel stepping (and the engine/delivery selection of
-//!   the underlying network: `Engine::Naive` still routes to the reference
+//!   [`Network::run`], so all drivers inherit deterministic parallel
+//!   stepping (and the thread budget, engine and delivery selection of the
+//!   underlying network: `Engine::Naive` still routes to the reference
 //!   engine for differential benches). Protocol state must be `Send`:
 //!   shared read-only tables are held through
 //!   [`SharedConfig`](deco_local::SharedConfig), never `Rc`.
@@ -64,7 +64,7 @@ impl<'n, 'g> Pipeline<'n, 'g> {
         self.net
     }
 
-    /// Runs one protocol phase on the threaded engine and returns the
+    /// Runs one protocol phase through [`Network::run`] and returns the
     /// per-vertex outputs; stats accumulate into the pipeline.
     ///
     /// # Panics
@@ -100,9 +100,9 @@ impl<'n, 'g> Pipeline<'n, 'g> {
             probe.emit(Event::PhaseEnter { name: name.into() });
             self.pending = Some(name);
         }
-        let (run, profile) = self.net.run_profiled_threaded(make);
+        let run = self.net.run(make);
         self.absorb(name, run.stats);
-        (run.outputs, profile)
+        (run.outputs, run.profile)
     }
 
     /// Verification hook: runs a boolean-verdict protocol phase and returns

@@ -13,14 +13,15 @@
 //! per-directed-edge slots of the host graph's CSR (see [`Network`] and the
 //! `network` module docs), payloads too long for a slot's inline buffer
 //! live in the pooled [`spill`] arena (recycled chunks, byte-accurate
-//! accounting), halted nodes drop off an active worklist, and
-//! rounds can be stepped in parallel deterministically
-//! ([`Network::run_profiled_threaded`], feature `parallel`, enabled by
-//! default). The pre-refactor engine survives as
-//! [`Network::run_profiled_naive`] — a differential-testing oracle and the
-//! baseline the perf benches measure speedups against. All engines honor
-//! the same determinism contract: bit-identical outputs, [`RunStats`] and
-//! [`RoundLoad`] profiles.
+//! accounting), halted nodes drop off an active worklist, and rounds are
+//! stepped in parallel deterministically up to [`Network::with_threads`]
+//! workers. [`Network::run`] (panicking) and [`Network::try_run`]
+//! (fallible) are the only run entry points; both return a [`Run`] with
+//! the outputs, [`RunStats`], the per-round [`RoundLoad`] profile and the
+//! [`RoundTrace`]. The pre-refactor engine survives as [`Engine::Naive`] —
+//! a differential-testing oracle and the baseline the perf benches measure
+//! speedups against. All engines honor the same determinism contract:
+//! bit-identical outputs, [`RunStats`] and [`RoundLoad`] profiles.
 //!
 //! # Writing a protocol
 //!
@@ -77,7 +78,7 @@ pub mod spill;
 pub use message::{bits_for_range, bits_for_value, Bitset, Message};
 pub use network::{
     encode_round_trace, Action, Delivery, DeliveryChoice, Engine, Network, NodeCtx, Protocol,
-    RoundLoad, RoundTrace, Run, RunError, SharedConfig, TracedRun,
+    RoundLoad, RoundTrace, Run, RunError, SharedConfig,
 };
 pub use stats::{RunStats, StatsDiff};
 pub use transport::{Fate, FaultyTransport, InProcess, Transport};

@@ -6,39 +6,30 @@
 //! a line-graph message between vertices whose simulators are at distance 2
 //! in `G` is relayed through the shared endpoint.
 //!
-//! This module runs a [`Protocol`] directly on `L(G)` and reports two sets of
-//! statistics: the *native* stats of the line-graph run, and the *host* stats
-//! it translates to under the Lemma 5.2 simulation (rounds doubled plus the
-//! constant setup round, message sizes multiplied by the worst-case relay
-//! congestion of a host edge). The host numbers are upper bounds, which is
-//! exactly how the paper uses the lemma.
+//! A line-graph algorithm runs as any other protocol: [`Network::run`] on
+//! `L(G)` (built by `deco_graph::line_graph::line_graph`) gives its
+//! *native* stats. This module translates them into the *host* stats of
+//! the Lemma 5.2 simulation: rounds doubled plus the constant setup round,
+//! message sizes multiplied by the worst-case relay congestion of a host
+//! edge. The host numbers are upper bounds, which is exactly how the paper
+//! uses the lemma.
+//!
+//! [`Network::run`]: crate::Network::run
 
-use crate::network::{Network, Protocol, Run};
 use crate::stats::RunStats;
-use deco_graph::line_graph::line_graph;
 use deco_graph::{Graph, Vertex};
 
-/// The outcome of a simulated line-graph run.
-#[derive(Debug, Clone)]
-pub struct LineRun<T> {
-    /// Per-edge outputs: entry `e` is the output of line-graph vertex `e`,
-    /// i.e. of host edge `e`.
-    pub outputs: Vec<T>,
-    /// Stats of the run as executed natively on `L(G)`.
-    pub native: RunStats,
-    /// Stats translated to the host network per Lemma 5.2 (upper bound).
-    pub host: RunStats,
-}
-
-/// Runs `make`'s protocol on the line graph of `g` and translates the cost
-/// to the host graph per Lemma 5.2.
+/// Translates the statistics of a native `L(G)` run into host-network
+/// statistics per Lemma 5.2: `2T + O(1)` rounds, twice the messages, and
+/// message sizes multiplied by the worst-case relay congestion.
 ///
 /// # Example
 ///
 /// ```
 /// use deco_graph::generators;
-/// use deco_local::line_sim::run_on_line_graph;
-/// use deco_local::{Action, NodeCtx, Protocol};
+/// use deco_graph::line_graph::line_graph;
+/// use deco_local::line_sim::lemma_5_2_host_stats;
+/// use deco_local::{Action, Network, NodeCtx, Protocol};
 ///
 /// /// Each line-graph vertex (host edge) learns its degree in L(G).
 /// struct LineDegree(usize);
@@ -58,43 +49,12 @@ pub struct LineRun<T> {
 /// }
 ///
 /// let g = generators::path(4); // 3 edges in a path of L(G)
-/// let run = run_on_line_graph(&g, |_| LineDegree(0));
+/// let l = line_graph(&g);
+/// let run = Network::new(&l).run(|_| LineDegree(0));
 /// assert_eq!(run.outputs, vec![1, 2, 1]);
-/// assert_eq!(run.host.rounds, 2 * run.native.rounds + 1);
+/// let host = lemma_5_2_host_stats(&g, run.stats);
+/// assert_eq!(host.rounds, 2 * run.stats.rounds + 1);
 /// ```
-pub fn run_on_line_graph<P, F>(g: &Graph, make: F) -> LineRun<P::Output>
-where
-    P: Protocol + Send,
-    P::Msg: Send + Sync,
-    F: FnMut(&crate::NodeCtx<'_>) -> P,
-{
-    run_on_line_graph_with(g, |net| net, make)
-}
-
-/// [`run_on_line_graph`] with explicit simulator configuration: `configure`
-/// receives the freshly built `L(G)` network and selects engine, delivery
-/// mode and thread budget (e.g. `|net| net.with_engine(Engine::Naive)` or
-/// `|net| net.with_threads(8)`). The run itself goes through the threaded
-/// slot engine entry point, so the Lemma 5.2 simulation inherits the same
-/// engine selection as every native pipeline — by the determinism contract
-/// the outputs and both stat translations are identical across all choices.
-pub fn run_on_line_graph_with<P, F, C>(g: &Graph, configure: C, make: F) -> LineRun<P::Output>
-where
-    P: Protocol + Send,
-    P::Msg: Send + Sync,
-    F: FnMut(&crate::NodeCtx<'_>) -> P,
-    C: for<'l> FnOnce(Network<'l>) -> Network<'l>,
-{
-    let l = line_graph(g);
-    let net = configure(Network::new(&l));
-    let run: Run<P::Output> = net.run_profiled_threaded(make).0;
-    let host = lemma_5_2_host_stats(g, run.stats);
-    LineRun { outputs: run.outputs, native: run.stats, host }
-}
-
-/// Translates the statistics of a native `L(G)` run into host-network
-/// statistics per Lemma 5.2: `2T + O(1)` rounds, twice the messages, and
-/// message sizes multiplied by the worst-case relay congestion.
 pub fn lemma_5_2_host_stats(g: &Graph, native: RunStats) -> RunStats {
     let congestion = relay_congestion(g).max(1);
     RunStats {
@@ -170,8 +130,9 @@ pub fn relay_congestion(g: &Graph) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::{Action, NodeCtx};
+    use crate::network::{Action, Network, NodeCtx, Protocol};
     use deco_graph::generators;
+    use deco_graph::line_graph::line_graph;
 
     struct CountNeighbors(usize);
     impl Protocol for CountNeighbors {
@@ -192,11 +153,12 @@ mod tests {
     #[test]
     fn star_line_graph_is_clique() {
         let g = generators::star(5);
-        let run = run_on_line_graph(&g, |_| CountNeighbors(0));
+        let run = Network::new(&line_graph(&g)).run(|_| CountNeighbors(0));
         // L(K_{1,4}) = K_4: every line vertex has 3 neighbors.
         assert_eq!(run.outputs, vec![3, 3, 3, 3]);
-        assert_eq!(run.host.rounds, 2 * run.native.rounds + 1);
-        assert_eq!(run.host.messages, 2 * run.native.messages);
+        let host = lemma_5_2_host_stats(&g, run.stats);
+        assert_eq!(host.rounds, 2 * run.stats.rounds + 1);
+        assert_eq!(host.messages, 2 * run.stats.messages);
     }
 
     #[test]
@@ -220,32 +182,34 @@ mod tests {
         assert_eq!(relay_congestion(&Graph::empty(3)), 0);
     }
 
-    /// The Lemma 5.2 host-stat invariants must hold — and the whole LineRun
-    /// must be bit-identical — under every engine/delivery/thread selection.
+    /// The Lemma 5.2 host-stat invariants must hold — and the native `L(G)`
+    /// run, hence its host translation, must be bit-identical — under every
+    /// engine/delivery/thread selection.
     #[test]
     fn host_stat_invariants_under_engine_selection() {
         use crate::network::{Delivery, Engine};
         let g = generators::random_bounded_degree(200, 8, 31);
-        let reference = run_on_line_graph(&g, |_| CountNeighbors(0));
+        let l = line_graph(&g);
+        let reference = Network::new(&l).run(|_| CountNeighbors(0));
+        let native = reference.stats;
+        let host = lemma_5_2_host_stats(&g, native);
         // rounds: exactly 2T + 1; messages doubled; bits doubled; max bits
         // scaled by the (engine-independent) relay congestion.
-        assert_eq!(reference.host.rounds, 2 * reference.native.rounds + 1);
-        assert_eq!(reference.host.messages, 2 * reference.native.messages);
-        assert_eq!(reference.host.total_message_bits, 2 * reference.native.total_message_bits);
+        assert_eq!(host.rounds, 2 * native.rounds + 1);
+        assert_eq!(host.messages, 2 * native.messages);
+        assert_eq!(host.total_message_bits, 2 * native.total_message_bits);
         let congestion = relay_congestion(&g).max(1);
-        assert_eq!(reference.host.max_message_bits, reference.native.max_message_bits * congestion);
-        type Cfg = fn(Network<'_>) -> Network<'_>;
-        let configs: [(&str, Cfg); 4] = [
-            ("naive", |net| net.with_engine(Engine::Naive)),
-            ("scan", |net| net.with_delivery(Delivery::Scan)),
-            ("push", |net| net.with_delivery(Delivery::Push)),
-            ("threaded", |net| net.with_threads(4)),
+        assert_eq!(host.max_message_bits, native.max_message_bits * congestion);
+        let configs = [
+            ("naive", Network::new(&l).with_engine(Engine::Naive)),
+            ("scan", Network::new(&l).with_delivery(Delivery::Scan)),
+            ("push", Network::new(&l).with_delivery(Delivery::Push)),
+            ("threaded", Network::new(&l).with_threads(4)),
         ];
-        for (name, cfg) in configs {
-            let run = run_on_line_graph_with(&g, cfg, |_| CountNeighbors(0));
+        for (name, net) in configs {
+            let run = net.run(|_| CountNeighbors(0));
             assert_eq!(run.outputs, reference.outputs, "{name} outputs diverged");
-            assert_eq!(run.native, reference.native, "{name} native stats diverged");
-            assert_eq!(run.host, reference.host, "{name} host stats diverged");
+            assert_eq!(run.stats, native, "{name} native stats diverged");
         }
     }
 

@@ -82,211 +82,187 @@ impl<M> NaiveFaults<M> {
     }
 }
 
-impl Network<'_> {
-    /// [`Network::run_profiled`] on the naive reference engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a node addresses a message to a non-neighbor or the round
-    /// cap is exceeded.
-    pub fn run_profiled_naive<P, F>(&self, make: F) -> (Run<P::Output>, Vec<RoundLoad>)
-    where
-        P: Protocol,
-        F: FnMut(&NodeCtx<'_>) -> P,
-    {
-        // INVARIANT: the infallible wrapper re-raises errors from the fallible variant; callers choosing it accept the panic.
-        self.try_run_profiled_naive(make).unwrap_or_else(|e| panic!("{e}"))
+/// The reference engine behind [`Engine::Naive`](crate::Engine::Naive),
+/// run by [`Network::try_run`].
+///
+/// Honors the configured [`Transport`](crate::Transport) with fault
+/// semantics bit-identical to the slot engine's — the differential
+/// contract extends to faulty runs. The trace comes back empty: this
+/// engine has no delivery choice or worker split to record.
+pub(crate) fn run<P, F>(net: &Network<'_>, mut make: F) -> Result<Run<P::Output>, RunError>
+where
+    P: Protocol,
+    F: FnMut(&NodeCtx<'_>) -> P,
+{
+    let g = net.graph();
+    let n = g.n();
+    let mut stats = RunStats::zero();
+    let mut profile: Vec<RoundLoad> = Vec::new();
+
+    let mut nodes: Vec<P> = Vec::with_capacity(n);
+    let mut halted = vec![false; n];
+    // inboxes[v] collects (sender, msg) for the next delivery.
+    let mut inboxes: Vec<Vec<(Vertex, P::Msg)>> = (0..n).map(|_| Vec::new()).collect();
+    let mut faults: Option<NaiveFaults<P::Msg>> =
+        (!net.transport().is_perfect()).then(|| NaiveFaults {
+            pending: BinaryHeap::new(),
+            seq: 0,
+            busy: vec![0; g.slot_count()],
+            dropped_msgs: 0,
+            dropped_bits: 0,
+        });
+
+    // Round 0: start.
+    let msgs_at_start = stats.messages;
+    let bits_at_start = stats.total_message_bits;
+    for v in 0..n {
+        let ctx = net.ctx_for(v, 0);
+        let mut p = make(&ctx);
+        let out = p.start(&ctx);
+        post(net, v, out, 0, &mut inboxes, &mut stats, &mut faults);
+        nodes.push(p);
     }
+    let mut sent_prev_msgs = stats.messages - msgs_at_start;
+    let mut sent_prev_bits = stats.total_message_bits - bits_at_start;
+    let (mut fault_prev_msgs, mut fault_prev_bits) =
+        faults.as_mut().map_or((0, 0), NaiveFaults::take_dropped);
 
-    /// Fallible [`Network::run_profiled_naive`]: an exceeded round cap
-    /// comes back as [`RunError::RoundCapExceeded`] instead of a panic.
-    ///
-    /// Honors the configured [`Transport`](crate::Transport) with fault
-    /// semantics bit-identical to the slot engine's — the differential
-    /// contract extends to faulty runs.
-    pub fn try_run_profiled_naive<P, F>(
-        &self,
-        mut make: F,
-    ) -> Result<(Run<P::Output>, Vec<RoundLoad>), RunError>
-    where
-        P: Protocol,
-        F: FnMut(&NodeCtx<'_>) -> P,
-    {
-        let g = self.graph();
-        let n = g.n();
-        let mut stats = RunStats::zero();
-        let mut profile: Vec<RoundLoad> = Vec::new();
-
-        let mut nodes: Vec<P> = Vec::with_capacity(n);
-        let mut halted = vec![false; n];
-        // inboxes[v] collects (sender, msg) for the next delivery.
-        let mut inboxes: Vec<Vec<(Vertex, P::Msg)>> = (0..n).map(|_| Vec::new()).collect();
-        let mut faults: Option<NaiveFaults<P::Msg>> =
-            (!self.transport().is_perfect()).then(|| NaiveFaults {
-                pending: BinaryHeap::new(),
-                seq: 0,
-                busy: vec![0; g.slot_count()],
-                dropped_msgs: 0,
-                dropped_bits: 0,
-            });
-
-        // Round 0: start.
-        let msgs_at_start = stats.messages;
-        let bits_at_start = stats.total_message_bits;
-        for v in 0..n {
-            let ctx = self.ctx_for(v, 0);
-            let mut p = make(&ctx);
-            let out = p.start(&ctx);
-            self.post(v, out, 0, &mut inboxes, &mut stats, &mut faults);
-            nodes.push(p);
+    let mut round = 0usize;
+    loop {
+        if halted.iter().all(|&h| h) {
+            break;
         }
-        let mut sent_prev_msgs = stats.messages - msgs_at_start;
-        let mut sent_prev_bits = stats.total_message_bits - bits_at_start;
-        let (mut fault_prev_msgs, mut fault_prev_bits) =
-            faults.as_mut().map_or((0, 0), NaiveFaults::take_dropped);
-
-        let mut round = 0usize;
-        loop {
-            if halted.iter().all(|&h| h) {
-                break;
-            }
-            round += 1;
-            if round > self.round_cap() {
-                stats.rounds = round - 1;
-                return Err(RunError::RoundCapExceeded {
-                    cap: self.round_cap(),
-                    live: halted.iter().filter(|&&h| !h).count(),
-                    stats,
-                });
-            }
-            let live = halted.iter().filter(|&&h| !h).count();
-            stats.node_rounds += live;
-            // Sent-vs-delivered accounting: the deltas of the step phase
-            // below are this round's sends, reported in the *next* round's
-            // profile entry (they are due for delivery then).
-            let (msgs_before, bits_before) = (stats.messages, stats.total_message_bits);
-            // Swap out inboxes for this round's delivery.
-            let mut delivered: Vec<Vec<(Vertex, P::Msg)>> = (0..n).map(|_| Vec::new()).collect();
-            std::mem::swap(&mut delivered, &mut inboxes);
-            // Inject transport-deferred messages due this round (the same
-            // schedule as the slot engine: arrival order, then posting
-            // order; an occupied slot postpones, a halted receiver drops).
-            if let Some(f) = faults.as_mut() {
-                while f.pending.peek().is_some_and(|Reverse(p)| p.arrival <= round) {
-                    // INVARIANT: extraction follows a successful peek on the same source.
-                    let Reverse(p) = f.pending.pop().expect("peeked entry");
-                    let to = g.slot_neighbor(p.slot);
-                    if halted[to] {
-                        continue;
-                    }
-                    if f.busy[p.slot] == round {
-                        f.pending.push(Reverse(Late { arrival: round + 1, ..p }));
-                        continue;
-                    }
-                    f.busy[p.slot] = round;
-                    delivered[to].push((p.from, p.msg));
-                }
-            }
-            let mut delivered_msgs = 0usize;
-            let mut delivered_bits = 0usize;
-            for v in 0..n {
-                if halted[v] {
+        round += 1;
+        if round > net.round_cap() {
+            stats.rounds = round - 1;
+            return Err(RunError::RoundCapExceeded {
+                cap: net.round_cap(),
+                live: halted.iter().filter(|&&h| !h).count(),
+                stats,
+            });
+        }
+        let live = halted.iter().filter(|&&h| !h).count();
+        stats.node_rounds += live;
+        // Sent-vs-delivered accounting: the deltas of the step phase
+        // below are this round's sends, reported in the *next* round's
+        // profile entry (they are due for delivery then).
+        let (msgs_before, bits_before) = (stats.messages, stats.total_message_bits);
+        // Swap out inboxes for this round's delivery.
+        let mut delivered: Vec<Vec<(Vertex, P::Msg)>> = (0..n).map(|_| Vec::new()).collect();
+        std::mem::swap(&mut delivered, &mut inboxes);
+        // Inject transport-deferred messages due this round (the same
+        // schedule as the slot engine: arrival order, then posting
+        // order; an occupied slot postpones, a halted receiver drops).
+        if let Some(f) = faults.as_mut() {
+            while f.pending.peek().is_some_and(|Reverse(p)| p.arrival <= round) {
+                // INVARIANT: extraction follows a successful peek on the same source.
+                let Reverse(p) = f.pending.pop().expect("peeked entry");
+                let to = g.slot_neighbor(p.slot);
+                if halted[to] {
                     continue;
                 }
-                let mut inbox = std::mem::take(&mut delivered[v]);
-                inbox.sort_by_key(|&(s, _)| s);
-                delivered_msgs += inbox.len();
-                delivered_bits += inbox.iter().map(|(_, m)| m.size_bits()).sum::<usize>();
-                let ctx = self.ctx_for(v, round);
-                match nodes[v].round(&ctx, &inbox) {
-                    Action::Continue(out) => {
-                        self.post(v, out, round, &mut inboxes, &mut stats, &mut faults)
-                    }
-                    Action::Broadcast(msg) => self.post(
-                        v,
-                        ctx.broadcast(msg),
-                        round,
-                        &mut inboxes,
-                        &mut stats,
-                        &mut faults,
-                    ),
-                    Action::Halt(out) => {
-                        self.post(v, out, round, &mut inboxes, &mut stats, &mut faults);
-                        halted[v] = true;
-                    }
+                if f.busy[p.slot] == round {
+                    f.pending.push(Reverse(Late { arrival: round + 1, ..p }));
+                    continue;
+                }
+                f.busy[p.slot] = round;
+                delivered[to].push((p.from, p.msg));
+            }
+        }
+        let mut delivered_msgs = 0usize;
+        let mut delivered_bits = 0usize;
+        for v in 0..n {
+            if halted[v] {
+                continue;
+            }
+            let mut inbox = std::mem::take(&mut delivered[v]);
+            inbox.sort_by_key(|&(s, _)| s);
+            delivered_msgs += inbox.len();
+            delivered_bits += inbox.iter().map(|(_, m)| m.size_bits()).sum::<usize>();
+            let ctx = net.ctx_for(v, round);
+            match nodes[v].round(&ctx, &inbox) {
+                Action::Continue(out) => {
+                    post(net, v, out, round, &mut inboxes, &mut stats, &mut faults)
+                }
+                Action::Broadcast(msg) => {
+                    let out = ctx.broadcast(msg);
+                    post(net, v, out, round, &mut inboxes, &mut stats, &mut faults)
+                }
+                Action::Halt(out) => {
+                    post(net, v, out, round, &mut inboxes, &mut stats, &mut faults);
+                    halted[v] = true;
                 }
             }
-            profile.push(RoundLoad {
-                messages: delivered_msgs,
-                bits: delivered_bits,
-                live_nodes: live,
-                sent_messages: sent_prev_msgs,
-                sent_bits: sent_prev_bits,
-                transport_dropped: fault_prev_msgs,
-                transport_dropped_bits: fault_prev_bits,
-            });
-            sent_prev_msgs = stats.messages - msgs_before;
-            sent_prev_bits = stats.total_message_bits - bits_before;
-            (fault_prev_msgs, fault_prev_bits) =
-                faults.as_mut().map_or((0, 0), NaiveFaults::take_dropped);
         }
-        stats.rounds = round;
-
-        let mut outputs = Vec::with_capacity(n);
-        for (v, p) in nodes.into_iter().enumerate() {
-            let ctx = self.ctx_for(v, round);
-            outputs.push(p.finish(&ctx));
-        }
-        // The determinism contract makes this profile bit-identical to the
-        // slot engine's, so the probe's Round events match across engines.
-        self.emit_run(&profile, &[]);
-        Ok((Run { outputs, stats }, profile))
+        profile.push(RoundLoad {
+            messages: delivered_msgs,
+            bits: delivered_bits,
+            live_nodes: live,
+            sent_messages: sent_prev_msgs,
+            sent_bits: sent_prev_bits,
+            transport_dropped: fault_prev_msgs,
+            transport_dropped_bits: fault_prev_bits,
+        });
+        sent_prev_msgs = stats.messages - msgs_before;
+        sent_prev_bits = stats.total_message_bits - bits_before;
+        (fault_prev_msgs, fault_prev_bits) =
+            faults.as_mut().map_or((0, 0), NaiveFaults::take_dropped);
     }
+    stats.rounds = round;
 
-    fn post<M: Message>(
-        &self,
-        from: Vertex,
-        out: Vec<(Vertex, M)>,
-        round: usize,
-        inboxes: &mut [Vec<(Vertex, M)>],
-        stats: &mut RunStats,
-        faults: &mut Option<NaiveFaults<M>>,
-    ) {
-        let neighbors = self.neighbors_of(from);
-        let slot_base = self.graph().slots_of(from).start;
-        for (to, msg) in out {
-            let i = neighbors
-                .binary_search(&to)
-                // INVARIANT: the LOCAL model permits sends only along incident edges; anything else is a protocol bug worth aborting on.
-                .unwrap_or_else(|_| panic!("node {from} addressed a message to non-neighbor {to}"));
-            let bits = msg.size_bits();
-            stats.record_message(bits);
-            match faults {
-                None => inboxes[to].push((from, msg)),
-                Some(f) => {
-                    // Same fate key as the slot engine: (sender-side slot,
-                    // posting round) — the two engines decide identically.
-                    let slot = slot_base + i;
-                    match self.transport().fate(slot, round) {
-                        Fate::Deliver => {
-                            f.busy[slot] = round + 1;
-                            inboxes[to].push((from, msg));
-                        }
-                        Fate::Drop => {
-                            stats.transport_dropped += 1;
-                            f.dropped_msgs += 1;
-                            f.dropped_bits += bits;
-                        }
-                        Fate::Delay(k) => {
-                            f.pending.push(Reverse(Late {
-                                arrival: round + 1 + k.max(1) as usize,
-                                seq: f.seq,
-                                slot,
-                                from,
-                                msg,
-                            }));
-                            f.seq += 1;
-                        }
+    let mut outputs = Vec::with_capacity(n);
+    for (v, p) in nodes.into_iter().enumerate() {
+        let ctx = net.ctx_for(v, round);
+        outputs.push(p.finish(&ctx));
+    }
+    Ok(Run { outputs, stats, profile, trace: Vec::new() })
+}
+
+/// Posts one node's outbox into the receivers' next inboxes, through the
+/// transport when it is not perfect.
+fn post<M: Message>(
+    net: &Network<'_>,
+    from: Vertex,
+    out: Vec<(Vertex, M)>,
+    round: usize,
+    inboxes: &mut [Vec<(Vertex, M)>],
+    stats: &mut RunStats,
+    faults: &mut Option<NaiveFaults<M>>,
+) {
+    let neighbors = net.neighbors_of(from);
+    let slot_base = net.graph().slots_of(from).start;
+    for (to, msg) in out {
+        let i = neighbors
+            .binary_search(&to)
+            // INVARIANT: the LOCAL model permits sends only along incident edges; anything else is a protocol bug worth aborting on.
+            .unwrap_or_else(|_| panic!("node {from} addressed a message to non-neighbor {to}"));
+        let bits = msg.size_bits();
+        stats.record_message(bits);
+        match faults {
+            None => inboxes[to].push((from, msg)),
+            Some(f) => {
+                // Same fate key as the slot engine: (sender-side slot,
+                // posting round) — the two engines decide identically.
+                let slot = slot_base + i;
+                match net.transport().fate(slot, round) {
+                    Fate::Deliver => {
+                        f.busy[slot] = round + 1;
+                        inboxes[to].push((from, msg));
+                    }
+                    Fate::Drop => {
+                        stats.transport_dropped += 1;
+                        f.dropped_msgs += 1;
+                        f.dropped_bits += bits;
+                    }
+                    Fate::Delay(k) => {
+                        f.pending.push(Reverse(Late {
+                            arrival: round + 1 + k.max(1) as usize,
+                            seq: f.seq,
+                            slot,
+                            from,
+                            msg,
+                        }));
+                        f.seq += 1;
                     }
                 }
             }
@@ -296,7 +272,7 @@ impl Network<'_> {
 
 #[cfg(test)]
 mod tests {
-    use crate::network::{Action, Network, NodeCtx, Protocol};
+    use crate::network::{Action, Engine, Network, NodeCtx, Protocol};
     use deco_graph::generators;
     use deco_graph::Vertex;
 
@@ -329,23 +305,11 @@ mod tests {
     #[test]
     fn naive_and_slot_engines_agree() {
         let g = generators::random_graph(400, 1500, 42);
-        let net = Network::new(&g);
-        let fast = net.run_profiled(|_| Mixed);
-        let naive = net.run_profiled_naive(|_| Mixed);
-        assert_eq!(fast.0.outputs, naive.0.outputs);
-        assert_eq!(fast.0.stats, naive.0.stats);
-        assert_eq!(fast.1, naive.1);
-    }
-
-    #[test]
-    fn engine_selector_routes_run_profiled() {
-        use crate::network::Engine;
-        let g = generators::random_graph(120, 400, 5);
-        let slot = Network::new(&g).run_profiled(|_| Mixed);
-        let via_selector = Network::new(&g).with_engine(Engine::Naive).run_profiled(|_| Mixed);
-        assert_eq!(slot.0.outputs, via_selector.0.outputs);
-        assert_eq!(slot.0.stats, via_selector.0.stats);
-        assert_eq!(slot.1, via_selector.1);
+        let fast = Network::new(&g).run(|_| Mixed);
+        let naive = Network::new(&g).with_engine(Engine::Naive).run(|_| Mixed);
+        assert_eq!(fast.outputs, naive.outputs);
+        assert_eq!(fast.stats, naive.stats);
+        assert_eq!(fast.profile, naive.profile);
     }
 
     #[test]
@@ -362,12 +326,15 @@ mod tests {
                 .with_drop(120_000)
                 .with_delay(150_000, 3)
                 .with_reorder(100_000);
-            let slot = Network::new(&g).with_transport(Arc::new(t.clone())).run_profiled(|_| Mixed);
-            let naive = Network::new(&g).with_transport(Arc::new(t)).run_profiled_naive(|_| Mixed);
-            assert_eq!(slot.0.outputs, naive.0.outputs, "seed {seed}");
-            assert_eq!(slot.0.stats, naive.0.stats, "seed {seed}");
-            assert_eq!(slot.1, naive.1, "seed {seed}");
-            assert!(slot.0.stats.transport_dropped > 0, "seed {seed} dropped nothing");
+            let slot = Network::new(&g).with_transport(Arc::new(t.clone())).run(|_| Mixed);
+            let naive = Network::new(&g)
+                .with_transport(Arc::new(t))
+                .with_engine(Engine::Naive)
+                .run(|_| Mixed);
+            assert_eq!(slot.outputs, naive.outputs, "seed {seed}");
+            assert_eq!(slot.stats, naive.stats, "seed {seed}");
+            assert_eq!(slot.profile, naive.profile, "seed {seed}");
+            assert!(slot.stats.transport_dropped > 0, "seed {seed} dropped nothing");
         }
     }
 
@@ -390,7 +357,8 @@ mod tests {
             }
             fn finish(self, _: &NodeCtx<'_>) {}
         }
-        let (run, profile) = Network::new(&g).run_profiled_naive(|_| TwoRounds);
+        let run = Network::new(&g).with_engine(Engine::Naive).run(|_| TwoRounds);
+        let profile = run.profile;
         assert_eq!(run.stats.rounds, 2);
         assert_eq!(profile[0].sent_messages, 24); // the start broadcasts
         assert_eq!(profile[0].messages, 24);

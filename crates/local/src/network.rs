@@ -30,18 +30,18 @@
 //! sweeping its whole neighborhood. [`Delivery::Adaptive`] (the default)
 //! chooses per round from the previous round's sent count; [`Delivery::Scan`]
 //! and [`Delivery::Push`] pin a mode for differential testing. The choice is
-//! observable via [`Network::run_traced`] but never changes results.
+//! observable in [`Run::trace`] but never changes results.
 //!
 //! # Determinism contract
 //!
-//! For a fixed graph and protocol, `run*` produce bit-identical outputs,
-//! [`RunStats`] and [`RoundLoad`] profiles — regardless of delivery engine
-//! (slot-based or the [`Network::run_profiled_naive`] reference), of the
-//! per-round scan/push delivery choice, and of the thread count used by
-//! [`Network::run_profiled_threaded`]. Within a round every node reads only
-//! its own inbox slice and writes only its own out slots, so parallel
-//! stepping is an embarrassingly parallel map; stats are merged in fixed
-//! chunk order. The integration tests pin this contract.
+//! For a fixed graph and protocol, [`Network::run`] and [`Network::try_run`]
+//! produce bit-identical outputs, [`RunStats`] and [`RoundLoad`] profiles —
+//! regardless of delivery engine (the slot arenas or the [`Engine::Naive`]
+//! reference), of the per-round scan/push delivery choice, and of the
+//! thread budget set by [`Network::with_threads`]. Within a round every node
+//! reads only its own inbox slice and writes only its own out slots, so
+//! parallel stepping is an embarrassingly parallel map; stats are merged in
+//! fixed chunk order. The integration tests pin this contract.
 
 use crate::message::Message;
 use crate::stats::RunStats;
@@ -140,8 +140,8 @@ impl<M> Action<M> {
 /// A shared, immutable configuration table referenced by every node of a
 /// protocol — schedules, palettes, precomputed per-edge specs.
 ///
-/// Protocol state must be `Send` so [`Network::run_profiled_threaded`] can
-/// step nodes on worker threads; per-node handles to a common table are
+/// Protocol state must be `Send` so [`Network::run`] can step nodes on
+/// worker threads; per-node handles to a common table are
 /// therefore atomically reference-counted (`Arc`), never `Rc`. The tables
 /// are written once before the run and only read inside protocol callbacks,
 /// so the atomic refcount is touched `n` times at construction and never on
@@ -176,7 +176,7 @@ pub trait Protocol {
     fn finish(self, ctx: &NodeCtx<'_>) -> Self::Output;
 }
 
-/// Typed failure of a simulated run (see the `try_run*` runners).
+/// Typed failure of a simulated run (see [`Network::try_run`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum RunError {
@@ -209,10 +209,6 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// Everything a traced run produces: the run itself, the per-round load
-/// profile, and the per-round delivery traces.
-pub type TracedRun<T> = (Run<T>, Vec<RoundLoad>, Vec<RoundTrace>);
-
 /// The result of simulating a protocol on a network.
 #[derive(Debug, Clone)]
 pub struct Run<T> {
@@ -220,16 +216,30 @@ pub struct Run<T> {
     pub outputs: Vec<T>,
     /// Round/message accounting for the run.
     pub stats: RunStats,
+    /// Per-round load profile, one entry per round — useful to visualize
+    /// an algorithm's phase structure (e.g. the quiet `log*` prefix
+    /// followed by the busy recursion levels). Part of the determinism
+    /// contract.
+    pub profile: Vec<RoundLoad>,
+    /// Per-round execution trace: delivery choice and worker count. Purely
+    /// observational, and empty under [`Engine::Naive`], which has no slot
+    /// machinery.
+    pub trace: Vec<RoundTrace>,
 }
 
 impl<T> Run<T> {
-    /// Maps the per-vertex outputs, keeping the stats.
+    /// Maps the per-vertex outputs, keeping the stats, profile and trace.
     pub fn map<U>(self, f: impl FnMut(T) -> U) -> Run<U> {
-        Run { outputs: self.outputs.into_iter().map(f).collect(), stats: self.stats }
+        Run {
+            outputs: self.outputs.into_iter().map(f).collect(),
+            stats: self.stats,
+            profile: self.profile,
+            trace: self.trace,
+        }
     }
 }
 
-/// Load observed in one simulated round (see [`Network::run_profiled`]).
+/// Load observed in one simulated round (see [`Run::profile`]).
 ///
 /// Entry `r` of a profile records round `r + 1` of the run: what was
 /// *delivered* that round, plus what had been *sent* toward it in the
@@ -269,7 +279,7 @@ impl RoundLoad {
     }
 }
 
-/// Which delivery engine [`Network::run`] and [`Network::run_profiled`] use.
+/// Which delivery engine [`Network::run`] uses.
 ///
 /// Both engines honor the same determinism contract and produce identical
 /// results; [`Engine::Naive`] exists so whole algorithm pipelines (which
@@ -301,7 +311,7 @@ pub enum Delivery {
     Adaptive,
 }
 
-/// Which delivery path a round actually used (see [`Network::run_traced`]).
+/// Which delivery path a round actually used (see [`Run::trace`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeliveryChoice {
     /// The O(deg)-per-receiver slot sweep.
@@ -324,8 +334,8 @@ pub struct RoundTrace {
 /// A simulated synchronous network over a host graph.
 ///
 /// The simulator is deterministic: nodes are stepped in vertex order (or an
-/// order-equivalent parallel schedule, see [`Network::run_profiled_threaded`])
-/// and inboxes arrive sender-sorted. See the crate-level example.
+/// order-equivalent parallel schedule, see [`Network::run`]) and inboxes
+/// arrive sender-sorted. See the crate-level example.
 #[derive(Debug)]
 pub struct Network<'g> {
     graph: &'g Graph,
@@ -492,11 +502,10 @@ impl<'g> Network<'g> {
 
     /// Sets a safety cap on rounds (default one million).
     ///
-    /// The fallible runners ([`Network::try_run_profiled`],
-    /// [`Network::try_run_traced`]) surface an exceeded cap as
+    /// [`Network::try_run`] surfaces an exceeded cap as
     /// [`RunError::RoundCapExceeded`] — used by callers that budget rounds
-    /// deliberately, like the self-stabilizing repair loop. The panicking
-    /// runners (`run*`) panic with that error's message: for them an
+    /// deliberately, like the self-stabilizing repair loop.
+    /// [`Network::run`] panics with that error's message: for it an
     /// exceeded cap always indicates a protocol that fails to halt.
     pub fn with_round_cap(mut self, cap: usize) -> Network<'g> {
         self.round_cap = cap;
@@ -523,19 +532,18 @@ impl<'g> Network<'g> {
         &self.transport
     }
 
-    /// Sets the worker-thread budget used by the `*_threaded` runners
-    /// (default: available parallelism, capped at 16). A budget of 1 forces
-    /// sequential stepping. Results never depend on this value.
+    /// Sets the worker-thread budget of [`Network::run`] (default: available
+    /// parallelism, capped at 16). A budget of 1 forces sequential
+    /// stepping. Results never depend on this value.
     pub fn with_threads(mut self, threads: usize) -> Network<'g> {
         self.threads = threads.max(1);
         self
     }
 
-    /// Selects the delivery engine used by [`Network::run`] and
-    /// [`Network::run_profiled`] (default: [`Engine::Slot`]). Algorithm
-    /// pipelines that run inner protocols against this network inherit the
-    /// choice, which is how the benches compare whole pipelines across
-    /// engines.
+    /// Selects the delivery engine used by [`Network::run`] (default:
+    /// [`Engine::Slot`]). Algorithm pipelines that run inner protocols
+    /// against this network inherit the choice, which is how the benches
+    /// compare whole pipelines across engines.
     pub fn with_engine(mut self, engine: Engine) -> Network<'g> {
         self.engine = engine;
         self
@@ -592,14 +600,12 @@ impl<'g> Network<'g> {
     }
 
     /// Emits a finished run's per-round profile (and, when non-empty, its
-    /// execution trace) into the probe. Called exactly once per successful
-    /// run by each runner family — the naive runners emit for themselves, so
-    /// slot-side callers that delegate must not emit again.
-    pub(crate) fn emit_run(&self, profile: &[RoundLoad], trace: &[RoundTrace]) {
+    /// execution trace) into the probe, once per successful run.
+    fn emit_run<T>(&self, run: &Run<T>) {
         if !self.probe.enabled() {
             return;
         }
-        for (i, load) in profile.iter().enumerate() {
+        for (i, load) in run.profile.iter().enumerate() {
             self.probe.emit(Event::Round {
                 round: (i + 1) as u64,
                 live_nodes: load.live_nodes as u64,
@@ -610,13 +616,23 @@ impl<'g> Network<'g> {
                 transport_dropped: load.transport_dropped as u64,
             });
         }
-        if !trace.is_empty() {
-            self.probe.emit(Event::env("round_trace", encode_round_trace(trace)));
+        if !run.trace.is_empty() {
+            self.probe.emit(Event::env("round_trace", encode_round_trace(&run.trace)));
         }
     }
 
     /// Runs `protocol` (one instance per vertex, built by `make`) to
-    /// quiescence and returns per-vertex outputs plus stats.
+    /// quiescence and returns per-vertex outputs, stats, the per-round load
+    /// profile and the execution trace.
+    ///
+    /// Rounds with enough active nodes are stepped by up to
+    /// [`Network::with_threads`] workers: the active worklist is split into
+    /// contiguous vertex ranges, and each worker reads the previous round's
+    /// arena (shared) while writing its own nodes' out-slots (exclusive,
+    /// disjoint slices) — no locks, no unsafe, no nondeterminism. Outputs,
+    /// stats and profile are bit-identical for every thread budget, every
+    /// [`Delivery`] mode and both [`Engine`]s; only wall-clock and the trace
+    /// change.
     ///
     /// # Panics
     ///
@@ -624,119 +640,31 @@ impl<'g> Network<'g> {
     /// to the same neighbor in one round, or the round cap is exceeded.
     pub fn run<P, F>(&self, make: F) -> Run<P::Output>
     where
-        P: Protocol,
-        F: FnMut(&NodeCtx<'_>) -> P,
-    {
-        self.run_profiled(make).0
-    }
-
-    /// Like [`Network::run`], but additionally returns the per-round load
-    /// profile — useful to visualize an algorithm's phase structure (e.g.
-    /// the quiet `log*` prefix followed by the busy recursion levels).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Network::run`].
-    pub fn run_profiled<P, F>(&self, make: F) -> (Run<P::Output>, Vec<RoundLoad>)
-    where
-        P: Protocol,
+        P: Protocol + Send,
+        P::Msg: Send + Sync,
         F: FnMut(&NodeCtx<'_>) -> P,
     {
         // INVARIANT: the infallible wrapper re-raises errors from the fallible variant; callers choosing it accept the panic.
-        self.try_run_profiled(make).unwrap_or_else(|e| panic!("{e}"))
+        self.try_run(make).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Network::run_profiled`]: an exceeded round cap comes back
-    /// as [`RunError::RoundCapExceeded`] (with the stats accumulated so
-    /// far) instead of a panic. Protocol contract violations — messages to
+    /// Fallible [`Network::run`]: an exceeded round cap comes back as
+    /// [`RunError::RoundCapExceeded`] (with the stats accumulated so far)
+    /// instead of a panic. Protocol contract violations — messages to
     /// non-neighbors, duplicate sends — still panic: those are bugs, not
     /// runtime conditions.
-    pub fn try_run_profiled<P, F>(
-        &self,
-        make: F,
-    ) -> Result<(Run<P::Output>, Vec<RoundLoad>), RunError>
-    where
-        P: Protocol,
-        F: FnMut(&NodeCtx<'_>) -> P,
-    {
-        match self.engine {
-            Engine::Slot => {
-                let (run, profile, trace) = engine::run(self, make, 1, engine::SeqStepper)?;
-                self.emit_run(&profile, &trace);
-                Ok((run, profile))
-            }
-            Engine::Naive => self.try_run_profiled_naive(make),
-        }
-    }
-
-    /// [`Network::run_profiled`] with deterministic parallel round stepping.
-    ///
-    /// Rounds with enough active nodes are stepped by up to
-    /// [`Network::with_threads`] workers: the active worklist is split into
-    /// contiguous vertex ranges, and each worker reads the previous round's
-    /// arena (shared) while writing its own nodes' out-slots (exclusive,
-    /// disjoint slices) — no locks, no unsafe, no nondeterminism. Outputs,
-    /// stats and profile are bit-identical to the sequential engine for
-    /// every thread budget; only wall-clock changes. Requires the `parallel`
-    /// feature (on by default); without it this is sequential.
-    ///
-    /// Honors [`Network::with_engine`]: under [`Engine::Naive`] this routes
-    /// to the (sequential) reference engine, which the determinism contract
-    /// makes observationally identical — it is how whole pipelines are
-    /// benchmarked against the pre-refactor delivery path.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Network::run`].
-    pub fn run_profiled_threaded<P, F>(&self, make: F) -> (Run<P::Output>, Vec<RoundLoad>)
+    pub fn try_run<P, F>(&self, make: F) -> Result<Run<P::Output>, RunError>
     where
         P: Protocol + Send,
         P::Msg: Send + Sync,
         F: FnMut(&NodeCtx<'_>) -> P,
     {
-        let (run, profile, _) = self.run_traced(make);
-        (run, profile)
-    }
-
-    /// [`Network::run_profiled_threaded`] plus the per-round execution trace
-    /// (delivery choice and worker count), for benches and diagnostics. The
-    /// trace is empty under [`Engine::Naive`], which has no slot machinery.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Network::run`].
-    pub fn run_traced<P, F>(&self, make: F) -> (Run<P::Output>, Vec<RoundLoad>, Vec<RoundTrace>)
-    where
-        P: Protocol + Send,
-        P::Msg: Send + Sync,
-        F: FnMut(&NodeCtx<'_>) -> P,
-    {
-        // INVARIANT: the infallible wrapper re-raises errors from the fallible variant; callers choosing it accept the panic.
-        self.try_run_traced(make).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Network::run_traced`]: an exceeded round cap comes back
-    /// as [`RunError::RoundCapExceeded`] instead of a panic (see
-    /// [`Network::try_run_profiled`]).
-    pub fn try_run_traced<P, F>(&self, make: F) -> Result<TracedRun<P::Output>, RunError>
-    where
-        P: Protocol + Send,
-        P::Msg: Send + Sync,
-        F: FnMut(&NodeCtx<'_>) -> P,
-    {
-        if self.engine == Engine::Naive {
-            // The naive runner emits its own profile into the probe.
-            let (run, profile) = self.try_run_profiled_naive(make)?;
-            return Ok((run, profile, Vec::new()));
-        }
-        #[cfg(feature = "parallel")]
-        let result = engine::run(self, make, self.threads, engine::ParStepper);
-        #[cfg(not(feature = "parallel"))]
-        let result = engine::run(self, make, 1, engine::SeqStepper);
-        if let Ok((_, profile, trace)) = &result {
-            self.emit_run(profile, trace);
-        }
-        result
+        let run = match self.engine {
+            Engine::Slot => engine::run(self, make)?,
+            Engine::Naive => crate::naive::run(self, make)?,
+        };
+        self.emit_run(&run);
+        Ok(run)
     }
 
     pub(crate) fn ctx_for(&self, v: Vertex, round: usize) -> NodeCtx<'_> {
@@ -757,7 +685,7 @@ impl<'g> Network<'g> {
 mod engine {
     use super::{
         Action, Delivery, DeliveryChoice, Fate, Message, Network, NodeCtx, Protocol, RoundLoad,
-        RoundTrace, Run, RunError, RunStats, TracedRun, Vertex, PUSH_COST_FACTOR,
+        RoundTrace, Run, RunError, RunStats, Vertex, PUSH_COST_FACTOR,
     };
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
@@ -802,7 +730,7 @@ mod engine {
 
     /// Per-worker reusable state; all buffers reach a steady size after the
     /// first rounds and are never reallocated again.
-    pub(super) struct Scratch<M> {
+    struct Scratch<M> {
         /// Inbox assembly buffer, reused across nodes and rounds.
         inbox: Vec<(Vertex, M)>,
         /// Vertices that returned `Halt` this round (applied sequentially
@@ -924,7 +852,7 @@ mod engine {
     }
 
     /// Read-only state shared by all workers within a round.
-    pub(super) struct Shared<'a, 'g> {
+    struct Shared<'a, 'g> {
         net: &'a Network<'g>,
         offsets: &'a [usize],
         mirror: &'a [u32],
@@ -1235,114 +1163,6 @@ mod engine {
         }
     }
 
-    /// How a round's active nodes get stepped. The two implementations let
-    /// the `Send` bounds of parallel stepping live only on the threaded
-    /// entry points: the shared engine below is bound-free and identical
-    /// for both (so there is no sequential code path to drift from).
-    pub(super) trait Stepper<P: Protocol> {
-        #[allow(clippy::too_many_arguments)]
-        fn step(
-            &self,
-            sh: &Shared<'_, '_>,
-            active: &[Vertex],
-            round: usize,
-            workers: usize,
-            nodes: &mut [P],
-            cur: &mut [Option<P::Msg>],
-            occ_cur: &mut [u32],
-            prev: &mut [Option<P::Msg>],
-            occ_prev: &mut [u32],
-            scratches: &mut [Scratch<P::Msg>],
-            push: Option<&[u64]>,
-            dense: bool,
-        );
-    }
-
-    /// Always steps on the calling thread. Sparse rounds move messages out
-    /// of the previous arena (the take keeps the arena self-cleaning, so a
-    /// quiet steady state does no arena work at all); dense rounds fetch by
-    /// clone exactly like the parallel schedule — skipping the per-message
-    /// write-back and occupancy decrement is cheaper than the sequential
-    /// clear pass it trades for when most slots are full.
-    pub(super) struct SeqStepper;
-
-    impl<P: Protocol> Stepper<P> for SeqStepper {
-        fn step(
-            &self,
-            sh: &Shared<'_, '_>,
-            active: &[Vertex],
-            round: usize,
-            _workers: usize,
-            nodes: &mut [P],
-            cur: &mut [Option<P::Msg>],
-            occ_cur: &mut [u32],
-            prev: &mut [Option<P::Msg>],
-            occ_prev: &mut [u32],
-            scratches: &mut [Scratch<P::Msg>],
-            push: Option<&[u64]>,
-            dense: bool,
-        ) {
-            let prev_view = if dense {
-                Prev::Shared { slots: prev, occ: occ_prev }
-            } else {
-                Prev::Excl { slots: prev, occ: occ_prev }
-            };
-            step_segment(
-                sh,
-                active,
-                round,
-                nodes,
-                0,
-                cur,
-                0,
-                occ_cur,
-                prev_view,
-                &mut scratches[0],
-                push,
-            );
-        }
-    }
-
-    /// Splits rounds with enough active nodes across worker threads;
-    /// falls back to the sequential step below the threshold.
-    #[cfg(feature = "parallel")]
-    pub(super) struct ParStepper;
-
-    #[cfg(feature = "parallel")]
-    impl<P> Stepper<P> for ParStepper
-    where
-        P: Protocol + Send,
-        P::Msg: Send + Sync,
-    {
-        fn step(
-            &self,
-            sh: &Shared<'_, '_>,
-            active: &[Vertex],
-            round: usize,
-            workers: usize,
-            nodes: &mut [P],
-            cur: &mut [Option<P::Msg>],
-            occ_cur: &mut [u32],
-            prev: &mut [Option<P::Msg>],
-            occ_prev: &mut [u32],
-            scratches: &mut [Scratch<P::Msg>],
-            push: Option<&[u64]>,
-            dense: bool,
-        ) {
-            if workers == 1 {
-                SeqStepper.step(
-                    sh, active, round, 1, nodes, cur, occ_cur, prev, occ_prev, scratches, push,
-                    dense,
-                );
-            } else {
-                parallel::step_round(
-                    sh, active, round, workers, nodes, cur, occ_cur, &*prev, &*occ_prev, scratches,
-                    push,
-                );
-            }
-        }
-    }
-
     /// The per-round budget of push-list entries for `live_slots` live
     /// in-slots: a round whose sent count exceeds it cannot qualify for push
     /// delivery, so recording past it is pointless ([`Delivery::Push`]
@@ -1395,7 +1215,14 @@ mod engine {
         }
     }
 
-    /// The engine shared by the sequential and threaded runners.
+    /// The slot engine behind [`Network::run`].
+    ///
+    /// A round with one worker steps on the calling thread. Sparse rounds
+    /// then move messages out of the previous arena (the take keeps the
+    /// arena self-cleaning, so a quiet steady state does no arena work at
+    /// all); dense rounds fetch by clone exactly like the parallel schedule
+    /// — skipping the per-message write-back and occupancy decrement is
+    /// cheaper than the clear pass it trades for when most slots are full.
     ///
     /// A non-perfect transport forces the deterministic fault path:
     /// sequential stepping, scan delivery, take-semantics fetches. Take
@@ -1404,23 +1231,18 @@ mod engine {
     /// `(arrival, seq)` and injected into the read arena at the top of its
     /// arrival round, postponed further if a fresher message occupies its
     /// slot, dropped if its receiver has halted.
-    pub(super) fn run<P, F, S>(
-        net: &Network<'_>,
-        mut make: F,
-        threads: usize,
-        stepper: S,
-    ) -> Result<TracedRun<P::Output>, RunError>
+    pub(super) fn run<P, F>(net: &Network<'_>, mut make: F) -> Result<Run<P::Output>, RunError>
     where
-        P: Protocol,
+        P: Protocol + Send,
+        P::Msg: Send + Sync,
         F: FnMut(&NodeCtx<'_>) -> P,
-        S: Stepper<P>,
     {
         let n = net.graph.n();
         let offsets = net.graph.slot_offsets();
         let mirror = net.graph.mirror_slots();
         let slot_count = net.graph.slot_count();
         let faulty = !net.transport.is_perfect();
-        let threads = if faulty { 1 } else { threads };
+        let threads = if faulty { 1 } else { net.threads };
         let delivery = if faulty { Delivery::Scan } else { net.delivery };
 
         let mut halt_round: Vec<usize> = vec![LIVE; n];
@@ -1559,20 +1381,40 @@ mod engine {
             // runs always take-fetch: injection relies on drained arenas.
             let dense = !faulty && !use_push && !sparse;
             let sh = Shared { net, offsets, mirror, halt_round: &halt_round, faulty };
-            stepper.step(
-                &sh,
-                &active,
-                round,
-                workers,
-                &mut nodes,
-                &mut arena_cur,
-                &mut occ_cur,
-                &mut arena_prev,
-                &mut occ_prev,
-                &mut scratches,
-                push,
-                dense,
-            );
+            if workers == 1 {
+                let prev = if dense {
+                    Prev::Shared { slots: &arena_prev, occ: &occ_prev }
+                } else {
+                    Prev::Excl { slots: &mut arena_prev, occ: &mut occ_prev }
+                };
+                step_segment(
+                    &sh,
+                    &active,
+                    round,
+                    &mut nodes,
+                    0,
+                    &mut arena_cur,
+                    0,
+                    &mut occ_cur,
+                    prev,
+                    &mut scratches[0],
+                    push,
+                );
+            } else {
+                parallel::step_round(
+                    &sh,
+                    &active,
+                    round,
+                    workers,
+                    &mut nodes,
+                    &mut arena_cur,
+                    &mut occ_cur,
+                    &arena_prev,
+                    &occ_prev,
+                    &mut scratches,
+                    push,
+                );
+            }
             trace.push(RoundTrace {
                 delivery: if use_push { DeliveryChoice::Push } else { DeliveryChoice::Scan },
                 workers,
@@ -1628,13 +1470,12 @@ mod engine {
             let ctx = net.ctx_for(v, round);
             outputs.push(p.finish(&ctx));
         }
-        Ok((Run { outputs, stats }, profile, trace))
+        Ok(Run { outputs, stats, profile, trace })
     }
 
     /// Deterministic parallel stepping: contiguous chunks of the active
     /// worklist, disjoint `&mut` windows per worker, shared read-only view
     /// of the previous arena.
-    #[cfg(feature = "parallel")]
     mod parallel {
         use super::{step_segment, Prev, Protocol, Scratch, Shared, Vertex};
 
@@ -1795,6 +1636,14 @@ mod tests {
         }
     }
 
+    /// Asserts that two runs agree on everything the determinism contract
+    /// covers: outputs, stats and profile (the trace is observational).
+    fn assert_same<T: PartialEq + std::fmt::Debug>(a: &Run<T>, b: &Run<T>, case: &str) {
+        assert_eq!(a.outputs, b.outputs, "{case}: outputs diverged");
+        assert_eq!(a.stats, b.stats, "{case}: stats diverged");
+        assert_eq!(a.profile, b.profile, "{case}: profile diverged");
+    }
+
     #[test]
     fn flood_on_path_reaches_radius() {
         let g = generators::path(10);
@@ -1911,7 +1760,8 @@ mod tests {
     #[test]
     fn profile_accounts_per_round() {
         let g = generators::cycle(6);
-        let (run, profile) = Network::new(&g).run_profiled(|_| FloodMax { radius: 2, best: 0 });
+        let run = Network::new(&g).run(|_| FloodMax { radius: 2, best: 0 });
+        let profile = &run.profile;
         assert_eq!(profile.len(), run.stats.rounds);
         // Round 1 delivers the start broadcasts (2 per vertex on a cycle);
         // round 2 the re-broadcasts; all 6 nodes live throughout.
@@ -1958,12 +1808,13 @@ mod tests {
     #[test]
     fn staggered_halts_drop_messages_to_halted() {
         let g = generators::path(6);
-        let (run, profile) = Network::new(&g).run_profiled(|_| StaggerHalt);
+        let run = Network::new(&g).run(|_| StaggerHalt);
+        let profile = &run.profile;
         // Vertex v halts in round v+1, so 6 rounds total.
         assert_eq!(run.stats.rounds, 6);
         let delivered: usize = profile.iter().map(|r| r.messages).sum();
         assert!(delivered < run.stats.messages, "some sends must be dropped");
-        for r in &profile {
+        for r in profile {
             assert!(r.messages <= r.sent_messages, "delivered > sent in {r:?}");
         }
         let dropped: usize = profile.iter().map(|r| r.dropped_messages()).sum();
@@ -2059,12 +1910,10 @@ mod tests {
         // StaggerHalt exercises halts mid-run (push entries addressed to
         // halted receivers must be dropped) on top of dense broadcasts.
         let g = generators::random_graph(500, 1800, 21);
-        let scan = Network::new(&g).with_delivery(Delivery::Scan).run_profiled(|_| StaggerHalt);
+        let scan = Network::new(&g).with_delivery(Delivery::Scan).run(|_| StaggerHalt);
         for mode in [Delivery::Push, Delivery::Adaptive] {
-            let other = Network::new(&g).with_delivery(mode).run_profiled(|_| StaggerHalt);
-            assert_eq!(scan.0.outputs, other.0.outputs, "{mode:?} outputs diverged");
-            assert_eq!(scan.0.stats, other.0.stats, "{mode:?} stats diverged");
-            assert_eq!(scan.1, other.1, "{mode:?} profile diverged");
+            let other = Network::new(&g).with_delivery(mode).run(|_| StaggerHalt);
+            assert_same(&scan, &other, &format!("{mode:?}"));
         }
     }
 
@@ -2102,7 +1951,7 @@ mod tests {
     fn adaptive_chooses_push_on_sparse_rounds_and_scan_on_dense() {
         let g = generators::random_bounded_degree(300, 6, 77);
         let mk = |_: &NodeCtx<'_>| SparseTail { rounds: 6, heard: 0 };
-        let (_, _, trace) = Network::new(&g).with_delivery(Delivery::Adaptive).run_traced(mk);
+        let trace = Network::new(&g).with_delivery(Delivery::Adaptive).run(mk).trace;
         // Round 1 delivers the dense start broadcasts -> scan; the tail
         // rounds carry <= deg(0) messages -> push.
         assert_eq!(trace[0].delivery, DeliveryChoice::Scan);
@@ -2111,23 +1960,20 @@ mod tests {
             "sparse tail must use push delivery: {trace:?}"
         );
         // Pinned modes trace as themselves and agree bit-for-bit.
-        let scan = Network::new(&g).with_delivery(Delivery::Scan).run_traced(mk);
-        let push = Network::new(&g).with_delivery(Delivery::Push).run_traced(mk);
-        assert!(scan.2.iter().all(|t| t.delivery == DeliveryChoice::Scan));
-        assert!(push.2.iter().all(|t| t.delivery == DeliveryChoice::Push));
-        assert_eq!(scan.0.outputs, push.0.outputs);
-        assert_eq!(scan.0.stats, push.0.stats);
-        assert_eq!(scan.1, push.1);
+        let scan = Network::new(&g).with_delivery(Delivery::Scan).run(mk);
+        let push = Network::new(&g).with_delivery(Delivery::Push).run(mk);
+        assert!(scan.trace.iter().all(|t| t.delivery == DeliveryChoice::Scan));
+        assert!(push.trace.iter().all(|t| t.delivery == DeliveryChoice::Push));
+        assert_same(&scan, &push, "scan vs push");
     }
 
     #[test]
     fn traced_naive_engine_has_empty_trace() {
         let g = generators::path(8);
-        let (run, profile, trace) = Network::new(&g)
-            .with_engine(Engine::Naive)
-            .run_traced(|_| FloodMax { radius: 2, best: 0 });
-        assert_eq!(profile.len(), run.stats.rounds);
-        assert!(trace.is_empty());
+        let run =
+            Network::new(&g).with_engine(Engine::Naive).run(|_| FloodMax { radius: 2, best: 0 });
+        assert_eq!(run.profile.len(), run.stats.rounds);
+        assert!(run.trace.is_empty());
     }
 
     /// Staggered halts with a bounded horizon: big enough graphs stay
@@ -2157,15 +2003,10 @@ mod tests {
         let g = generators::random_graph(4000, 9000, 5);
         for mode in [Delivery::Push, Delivery::Adaptive] {
             let mk = |_: &NodeCtx<'_>| ModHalt;
-            let seq = Network::new(&g).with_delivery(mode).run_profiled(mk);
+            let seq = Network::new(&g).with_delivery(mode).with_threads(1).run(mk);
             for threads in [2usize, 8] {
-                let par = Network::new(&g)
-                    .with_delivery(mode)
-                    .with_threads(threads)
-                    .run_profiled_threaded(mk);
-                assert_eq!(seq.0.outputs, par.0.outputs, "{mode:?} threads={threads}");
-                assert_eq!(seq.0.stats, par.0.stats, "{mode:?} threads={threads}");
-                assert_eq!(seq.1, par.1, "{mode:?} threads={threads}");
+                let par = Network::new(&g).with_delivery(mode).with_threads(threads).run(mk);
+                assert_same(&seq, &par, &format!("{mode:?} threads={threads}"));
             }
         }
     }
@@ -2173,15 +2014,39 @@ mod tests {
     #[test]
     fn threaded_run_matches_sequential() {
         let g = generators::random_graph(3000, 9000, 12);
-        let seq = Network::new(&g).run_profiled(|_| FloodMax { radius: 4, best: 0 });
-        for threads in [1, 2, 3, 8] {
-            let par = Network::new(&g)
-                .with_threads(threads)
-                .run_profiled_threaded(|_| FloodMax { radius: 4, best: 0 });
-            assert_eq!(seq.0.outputs, par.0.outputs, "threads={threads}");
-            assert_eq!(seq.0.stats, par.0.stats, "threads={threads}");
-            assert_eq!(seq.1, par.1, "threads={threads}");
+        let mk = |_: &NodeCtx<'_>| FloodMax { radius: 4, best: 0 };
+        let seq = Network::new(&g).with_threads(1).run(mk);
+        for threads in [2, 3, 8] {
+            let par = Network::new(&g).with_threads(threads).run(mk);
+            assert_same(&seq, &par, &format!("threads={threads}"));
         }
+    }
+
+    /// The worker count of every round follows the thread budget, not the
+    /// host's core count: `min(threads, live / MIN_ACTIVE_PER_THREAD)` once
+    /// at least two workers' worth of nodes are live, else one — and one
+    /// always under a non-perfect transport.
+    #[test]
+    fn run_honours_the_thread_budget() {
+        let g = generators::random_graph(3000, 9000, 12);
+        let mk = |_: &NodeCtx<'_>| FloodMax { radius: 4, best: 0 };
+        // (live nodes, workers) per round.
+        let workers = |net: Network<'_>| -> Vec<(usize, usize)> {
+            let run = net.run(mk);
+            assert_eq!(run.trace.len(), run.stats.rounds);
+            run.profile.iter().zip(&run.trace).map(|(l, t)| (l.live_nodes, t.workers)).collect()
+        };
+        let two = workers(Network::new(&g).with_threads(2));
+        assert!(two.iter().any(|&(live, _)| live >= 2 * MIN_ACTIVE_PER_THREAD));
+        for (live, w) in two {
+            assert_eq!(w, if live >= 2 * MIN_ACTIVE_PER_THREAD { 2 } else { 1 }, "live={live}");
+        }
+        let one = workers(Network::new(&g).with_threads(1));
+        assert!(one.iter().all(|&(_, w)| w == 1), "{one:?}");
+        let faulty =
+            Network::new(&g).with_transport(Arc::new(FaultyTransport::new(7))).with_threads(8);
+        let faulty = workers(faulty);
+        assert!(faulty.iter().all(|&(_, w)| w == 1), "{faulty:?}");
     }
 
     #[test]
@@ -2224,7 +2089,7 @@ mod tests {
     #[test]
     fn typed_round_cap_error_preserves_partial_stats() {
         let g = generators::path(3);
-        let err = Network::new(&g).with_round_cap(10).try_run_profiled(|_| NeverHalts).unwrap_err();
+        let err = Network::new(&g).with_round_cap(10).try_run(|_| NeverHalts).unwrap_err();
         let RunError::RoundCapExceeded { cap, live, stats } = err.clone();
         assert_eq!(cap, 10);
         assert_eq!(live, 3);
@@ -2236,7 +2101,7 @@ mod tests {
         let naive_err = Network::new(&g)
             .with_engine(Engine::Naive)
             .with_round_cap(10)
-            .try_run_profiled(|_| NeverHalts)
+            .try_run(|_| NeverHalts)
             .unwrap_err();
         assert_eq!(err, naive_err);
     }
@@ -2247,31 +2112,27 @@ mod tests {
         // through the engine's full fault path (sequential, scan, take
         // fetches) — pinned bit-identical to the perfect oracle.
         let g = generators::random_graph(500, 1800, 21);
-        let perfect = Network::new(&g).run_profiled(|_| StaggerHalt);
-        let zero = Network::new(&g)
-            .with_transport(Arc::new(FaultyTransport::new(7)))
-            .run_profiled(|_| StaggerHalt);
-        assert_eq!(perfect.0.outputs, zero.0.outputs);
-        assert_eq!(perfect.0.stats, zero.0.stats);
-        assert_eq!(perfect.1, zero.1);
+        let perfect = Network::new(&g).run(|_| StaggerHalt);
+        let zero =
+            Network::new(&g).with_transport(Arc::new(FaultyTransport::new(7))).run(|_| StaggerHalt);
+        assert_same(&perfect, &zero, "zero-rate transport");
         // Thread and delivery knobs cannot perturb a faulty run.
         let knobs = Network::new(&g)
             .with_transport(Arc::new(FaultyTransport::new(7)))
             .with_threads(8)
             .with_delivery(Delivery::Push)
-            .run_profiled_threaded(|_| StaggerHalt);
-        assert_eq!(perfect.0.outputs, knobs.0.outputs);
-        assert_eq!(perfect.0.stats, knobs.0.stats);
-        assert_eq!(perfect.1, knobs.1);
+            .run(|_| StaggerHalt);
+        assert_same(&perfect, &knobs, "knobs");
     }
 
     #[test]
     fn transport_drops_are_counted_byte_accurately() {
         let g = generators::random_graph(60, 150, 9);
         let all_drop = FaultyTransport::new(3).with_drop(1_000_000);
-        let (run, profile) = Network::new(&g)
+        let run = Network::new(&g)
             .with_transport(Arc::new(all_drop))
-            .run_profiled(|_| FloodMax { radius: 3, best: 0 });
+            .run(|_| FloodMax { radius: 3, best: 0 });
+        let profile = &run.profile;
         // Nobody ever hears anything: every node keeps its own ident.
         for (v, &out) in run.outputs.iter().enumerate() {
             assert_eq!(out, g.ident(v));
@@ -2434,10 +2295,8 @@ mod tests {
             }
         }
         let g = generators::random_graph(4000, 16000, 77);
-        let seq = Network::new(&g).run_profiled(|_| HalfLife);
-        let par = Network::new(&g).with_threads(4).run_profiled_threaded(|_| HalfLife);
-        assert_eq!(seq.0.outputs, par.0.outputs);
-        assert_eq!(seq.0.stats, par.0.stats);
-        assert_eq!(seq.1, par.1);
+        let seq = Network::new(&g).with_threads(1).run(|_| HalfLife);
+        let par = Network::new(&g).with_threads(4).run(|_| HalfLife);
+        assert_same(&seq, &par, "threads=4");
     }
 }

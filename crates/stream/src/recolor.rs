@@ -788,7 +788,7 @@ fn resilient_repair<H: RegionHost>(
         let subnet = instance_net(&sub, cfg)
             .with_transport(Arc::clone(&cfg.transport))
             .with_round_cap(round_cap);
-        let outcome = subnet.try_run_profiled(|ctx| {
+        let outcome = subnet.try_run(|ctx| {
             let edges = sub
                 .incident(ctx.vertex)
                 .map(|(nbr, e)| RobustEdge {
@@ -808,7 +808,7 @@ fn resilient_repair<H: RegionHost>(
             RobustFinalize { cap, taken, edges }
         });
         let run = match outcome {
-            Ok((run, _profile)) => run,
+            Ok(run) => run,
             Err(e) => {
                 if let RunError::RoundCapExceeded { stats, .. } = e {
                     report.stats += stats;

@@ -1,10 +1,10 @@
 //! The simulator's determinism contract, pinned across delivery engines:
-//! the slot-arena engine (sequential), the threaded engine at several
-//! thread budgets, and the pre-refactor naive reference must produce
-//! bit-identical outputs, `RunStats` and per-round `RoundLoad` profiles.
+//! the slot-arena engine on one thread and at several thread budgets, and
+//! the pre-refactor naive reference must produce bit-identical outputs,
+//! `RunStats` and per-round `RoundLoad` profiles.
 
 use deco_graph::generators;
-use deco_local::{Action, Network, NodeCtx, Protocol, RoundLoad, Run};
+use deco_local::{Action, Engine, Network, NodeCtx, Protocol, Run};
 
 /// A gossip protocol with data-dependent fan-out and staggered halting:
 /// every branch of the delivery machinery (broadcasts, selective sends,
@@ -54,15 +54,14 @@ impl Protocol for Gossip {
     }
 }
 
-/// A profiled run: outputs/stats plus the per-round load profile.
-type ProfiledRun = (Run<u64>, Vec<RoundLoad>);
-
-fn run_all_engines(net: &Network<'_>) -> Vec<(&'static str, ProfiledRun)> {
+fn run_all_engines(g: &deco_graph::Graph) -> Vec<(&'static str, Run<u64>)> {
     let mk = |_: &NodeCtx<'_>| Gossip { acc: 0, rounds_left: 20 };
-    let mut runs = vec![("slot-seq", net.run_profiled(mk)), ("naive", net.run_profiled_naive(mk))];
-    for threads in [1usize, 2, 3, 8] {
-        let net = Network::new(net.graph()).with_threads(threads);
-        runs.push(("slot-threaded", net.run_profiled_threaded(mk)));
+    let mut runs = vec![
+        ("slot-seq", Network::new(g).with_threads(1).run(mk)),
+        ("naive", Network::new(g).with_engine(Engine::Naive).run(mk)),
+    ];
+    for threads in [2usize, 3, 8] {
+        runs.push(("slot-threaded", Network::new(g).with_threads(threads).run(mk)));
     }
     runs
 }
@@ -71,28 +70,27 @@ fn run_all_engines(net: &Network<'_>) -> Vec<(&'static str, ProfiledRun)> {
 fn all_engines_bit_identical_on_random_graphs() {
     for (n, m, seed) in [(60, 150, 1u64), (500, 2000, 2), (3000, 12000, 3)] {
         let g = generators::random_graph(n, m, seed);
-        let net = Network::new(&g);
-        let runs = run_all_engines(&net);
+        let runs = run_all_engines(&g);
         let (name0, reference) = &runs[0];
         assert_eq!(*name0, "slot-seq");
         for (name, run) in &runs[1..] {
-            assert_eq!(reference.0.outputs, run.0.outputs, "{name} outputs diverged");
-            assert_eq!(reference.0.stats, run.0.stats, "{name} stats diverged");
-            assert_eq!(reference.1, run.1, "{name} profile diverged");
+            assert_eq!(reference.outputs, run.outputs, "{name} outputs diverged");
+            assert_eq!(reference.stats, run.stats, "{name} stats diverged");
+            assert_eq!(reference.profile, run.profile, "{name} profile diverged");
         }
         // Identifier permutations must not be able to hide behind vertex
         // indices: a shuffled-ident copy diverges, deterministically.
         let h = generators::shuffle_idents(&g, seed ^ 0xabcd);
-        let h_runs =
-            Network::new(&h).run_profiled(|_: &NodeCtx<'_>| Gossip { acc: 0, rounds_left: 20 });
-        assert_ne!(reference.0.outputs, h_runs.0.outputs);
+        let h_run = Network::new(&h).run(|_: &NodeCtx<'_>| Gossip { acc: 0, rounds_left: 20 });
+        assert_ne!(reference.outputs, h_run.outputs);
     }
 }
 
 #[test]
 fn delivered_never_exceeds_sent_with_mid_run_halts() {
     let g = generators::random_graph(800, 4000, 7);
-    for (name, (run, profile)) in run_all_engines(&Network::new(&g)) {
+    for (name, run) in run_all_engines(&g) {
+        let profile = &run.profile;
         assert_eq!(profile.len(), run.stats.rounds, "{name}");
         let mut sent_total = 0usize;
         for (i, r) in profile.iter().enumerate() {
@@ -231,9 +229,9 @@ fn threaded_runner_on_line_graph_workload() {
     let host = generators::random_bounded_degree(600, 12, 9);
     let l = deco_graph::line_graph::line_graph(&host);
     let mk = |_: &NodeCtx<'_>| Gossip { acc: 0, rounds_left: 12 };
-    let seq = Network::new(&l).run_profiled(mk);
-    let par = Network::new(&l).with_threads(4).run_profiled_threaded(mk);
-    assert_eq!(seq.0.outputs, par.0.outputs);
-    assert_eq!(seq.0.stats, par.0.stats);
-    assert_eq!(seq.1, par.1);
+    let seq = Network::new(&l).with_threads(1).run(mk);
+    let par = Network::new(&l).with_threads(4).run(mk);
+    assert_eq!(seq.outputs, par.outputs);
+    assert_eq!(seq.stats, par.stats);
+    assert_eq!(seq.profile, par.profile);
 }

@@ -101,13 +101,13 @@ fn round_events_equal_the_returned_profiles() {
     let probe = Arc::new(RecordingProbe::new());
     let net = Network::new(&g).with_probe(probe.clone());
     // Stagger halting by vertex so the live-node curve actually decays.
-    let (run, profile, trace) = net.run_traced(|ctx| Chatter { left: 1 + ctx.vertex as u64 % 5 });
+    let run = net.run(|ctx| Chatter { left: 1 + ctx.vertex as u64 % 5 });
+    let (profile, trace) = (&run.profile, &run.trace);
     assert_eq!(run.stats.rounds, profile.len());
     let events = probe.events();
     let rounds: Vec<&Event> = events.iter().filter(|e| matches!(e, Event::Round { .. })).collect();
     assert_eq!(rounds.len(), profile.len());
-    for (i, (event, load)) in
-        rounds.iter().zip(&profile).collect::<Vec<_>>().into_iter().enumerate()
+    for (i, (event, load)) in rounds.iter().zip(profile).collect::<Vec<_>>().into_iter().enumerate()
     {
         let &Event::Round {
             round,
@@ -139,7 +139,7 @@ fn round_events_equal_the_returned_profiles() {
             _ => None,
         })
         .expect("round_trace env event");
-    assert_eq!(encoded, encode_round_trace(&trace));
+    assert_eq!(encoded, encode_round_trace(trace));
 }
 
 #[test]

@@ -125,7 +125,8 @@ impl Protocol for Pulse {
 
 fn allocs_for(engine: Engine, rounds: usize) -> usize {
     let g = generators::random_bounded_degree(2000, 8, 0xa110c);
-    let net = Network::new(&g).with_engine(engine);
+    // One thread: a parallel round spawns scoped threads, which allocate.
+    let net = Network::new(&g).with_engine(engine).with_threads(1);
     let before = ALLOCS.load(Ordering::Relaxed);
     let run = net.run(|_| Pulse { rounds, acc: 0 });
     assert_eq!(run.stats.rounds, rounds);
@@ -215,7 +216,8 @@ impl Protocol for LongPulse {
 
 fn long_mode_allocs_for(rounds: usize) -> usize {
     let g = generators::random_bounded_degree(2000, 8, 0xa110c);
-    let net = Network::new(&g);
+    // One thread: a parallel round spawns scoped threads, which allocate.
+    let net = Network::new(&g).with_threads(1);
     let before = ALLOCS.load(Ordering::Relaxed);
     let run = net.run(|_| LongPulse { rounds, p: 16, acc: 0, scratch: Vec::new() });
     assert_eq!(run.stats.rounds, rounds);

@@ -33,7 +33,6 @@
 //! gate never fails on. The result lands in `BENCH_gate.json` at the
 //! workspace root (override the path with `DECO_BENCH_OUT`).
 
-use deco_bench::json::{array, run_length, Obj, Value};
 use deco_bench::{millis, time_interleaved};
 use deco_core::edge::legal::{
     edge_color, edge_color_bound, edge_color_in_groups, edge_log_depth, MessageMode,
@@ -44,6 +43,7 @@ use deco_graph::line_graph::line_graph;
 use deco_graph::trace::{churn_trace, churn_trace_from, power_law_churn_trace, Trace, TraceOp};
 use deco_graph::{generators, EdgeIdx, Graph, MutableGraph, SegmentedGraph, Vertex};
 use deco_local::{Action, Delivery, DeliveryChoice, Engine, Network, NodeCtx, Protocol, RunStats};
+use deco_probe::json::{array, run_length, Obj, Value};
 use deco_probe::{Event, Fnv, RecordingProbe};
 use deco_serve::{reports_fingerprint, EngineKind, Serve, ServeConfig, TenantSpec};
 use deco_stream::{
@@ -84,7 +84,7 @@ fn main() {
     println!("\nall scenarios: {:.1} s", t0.elapsed().as_secs_f64());
     let out = std::env::var("DECO_BENCH_OUT")
         .unwrap_or_else(|_| format!("{}/../../BENCH_gate.json", env!("CARGO_MANIFEST_DIR")));
-    std::fs::write(&out, deco_bench::json::to_string(&json.build())).expect("write bench json");
+    std::fs::write(&out, deco_probe::json::to_string(&json.build())).expect("write bench json");
     println!("wrote {out}");
 }
 

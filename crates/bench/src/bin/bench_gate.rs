@@ -16,68 +16,61 @@
 //! trajectory must never silently lose coverage).
 
 use deco_bench::gate;
-use deco_bench::json::{self, Obj, Value};
+use deco_probe::json::{self, Obj, Value};
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: bench_gate write <baseline.json> <bench.json>...\n       \
-         bench_gate check <baseline.json> <bench.json>... [--diff <report.txt>]"
-    );
-    ExitCode::FAILURE
-}
+const USAGE: &str = "usage: bench_gate write <baseline.json> <bench.json>...\n       \
+                     bench_gate check <baseline.json> <bench.json>... [--diff <report.txt>]";
 
 fn load(path: &str) -> Result<Value, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     json::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn bench_name(v: &Value, path: &str) -> Result<String, String> {
-    v.get("bench")
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("{path}: missing \"bench\" field"))
+/// Loads a bench output together with its `"bench"` name.
+fn load_bench(path: &str) -> Result<(String, Value), String> {
+    let v = load(path)?;
+    let name = v.get("bench").and_then(Value::as_str).map(str::to_string);
+    let name = name.ok_or_else(|| format!("{path}: missing \"bench\" field"))?;
+    Ok((name, v))
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (mode, rest) = match args.split_first() {
-        Some((m, rest)) if (m == "write" || m == "check") && rest.len() >= 2 => (m.clone(), rest),
-        _ => return usage(),
+    match run(&args) {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Runs one command: `Ok(false)` when the check fails, `Err` on bad usage
+/// or unreadable input.
+fn run(args: &[String]) -> Result<bool, String> {
+    let (mode, baseline_path, rest) = match args {
+        [mode, baseline, rest @ ..] if mode == "write" || mode == "check" => (mode, baseline, rest),
+        _ => return Err(USAGE.to_string()),
     };
-    let baseline_path = &rest[0];
     let mut inputs = Vec::new();
-    let mut diff_path: Option<String> = None;
-    let mut it = rest[1..].iter();
+    let mut diff_path: Option<&String> = None;
+    let mut it = rest.iter();
     while let Some(arg) = it.next() {
         if arg == "--diff" {
-            match it.next() {
-                Some(p) => diff_path = Some(p.clone()),
-                None => return usage(),
-            }
+            diff_path = Some(it.next().ok_or(USAGE)?);
         } else {
-            inputs.push(arg.clone());
+            inputs.push(arg);
         }
     }
     if inputs.is_empty() {
-        return usage();
+        return Err(USAGE.to_string());
     }
-    let mut loaded: Vec<(String, Value)> = Vec::new();
-    for path in &inputs {
-        match load(path).and_then(|v| bench_name(&v, path).map(|n| (n, v))) {
-            Ok(entry) => loaded.push(entry),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let loaded = inputs.iter().map(|p| load_bench(p)).collect::<Result<Vec<_>, _>>()?;
 
     if mode == "write" {
-        let mut benches = Obj::new();
-        for (name, v) in loaded {
-            benches = benches.field(&name, v);
-        }
+        let benches = loaded.into_iter().fold(Obj::new(), |o, (name, v)| o.field(&name, v));
         let doc = Obj::new()
             .field(
                 "comment",
@@ -89,24 +82,14 @@ fn main() -> ExitCode {
             )
             .field("benches", benches.build())
             .build();
-        if let Err(e) = std::fs::write(baseline_path, json::to_string(&doc)) {
-            eprintln!("cannot write {baseline_path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(baseline_path, json::to_string(&doc))
+            .map_err(|e| format!("cannot write {baseline_path}: {e}"))?;
         println!("wrote {baseline_path}");
-        return ExitCode::SUCCESS;
+        return Ok(true);
     }
 
-    let baseline = match load(baseline_path) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(Value::Object(entries)) = baseline.get("benches").cloned() else {
-        eprintln!("{baseline_path}: missing \"benches\" object");
-        return ExitCode::FAILURE;
+    let Some(Value::Object(entries)) = load(baseline_path)?.get("benches").cloned() else {
+        return Err(format!("{baseline_path}: missing \"benches\" object"));
     };
     let mut all = String::new();
     let mut ok = true;
@@ -130,17 +113,13 @@ fn main() -> ExitCode {
     }
     print!("{all}");
     if let Some(path) = diff_path {
-        if let Err(e) = std::fs::write(&path, &all) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(path, &all).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote {path}");
     }
     if ok {
         println!("bench gate: PASS");
-        ExitCode::SUCCESS
     } else {
         println!("bench gate: FAIL (deterministic counter regression or scenario drift)");
-        ExitCode::FAILURE
     }
+    Ok(ok)
 }

@@ -22,7 +22,7 @@
 //! The `bench_gate` binary wraps this: `write` records a baseline from
 //! bench outputs, `check` diffs fresh outputs against it.
 
-use crate::json::Value;
+use deco_probe::json::Value;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -45,7 +45,7 @@ pub const COST_KEYS: &[&str] = &[
 #[derive(Debug, Clone, PartialEq)]
 pub enum Leaf {
     /// Deterministic cost counter (must not regress).
-    Cost(i64),
+    Cost(i128),
     /// Deterministic scenario datum (must match exactly).
     Exact(String),
     /// Wall-clock datum (reported, never fatal).
@@ -197,7 +197,7 @@ pub fn check(baseline: &Value, fresh: &Value) -> GateReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{parse, Obj};
+    use deco_probe::json::{parse, to_string, Obj};
 
     fn sample(messages: i64, n: i64, ms: f64) -> Value {
         Obj::new()
@@ -206,7 +206,7 @@ mod tests {
             .field("acceptance", Obj::new().field("met", true).field("min_speedup", 5.0).build())
             .field(
                 "commits",
-                crate::json::Value::Array(vec![Obj::new()
+                Value::Array(vec![Obj::new()
                     .field("rounds", 10i64)
                     .field("messages", messages)
                     .field("color_hash", "abc123")
@@ -243,30 +243,17 @@ mod tests {
 
     #[test]
     fn hash_change_fails_but_acceptance_is_wall() {
-        let mut fresh = sample(100, 5, 1.0);
+        let base = to_string(&sample(100, 5, 1.0));
+        let flip = |from: &str, to: &str| {
+            assert!(base.contains(from), "{from} not in {base}");
+            parse(&base.replace(from, to)).unwrap()
+        };
         // Flip the color hash: deterministic -> fatal.
-        if let Value::Object(fields) = &mut fresh {
-            if let Some((_, Value::Array(commits))) =
-                fields.iter_mut().find(|(k, _)| k == "commits")
-            {
-                if let Value::Object(c) = &mut commits[0] {
-                    c.iter_mut().find(|(k, _)| k == "color_hash").unwrap().1 =
-                        Value::Str("zzz".into());
-                }
-            }
-        }
-        let r = check(&sample(100, 5, 1.0), &fresh);
+        let r = check(&sample(100, 5, 1.0), &flip("abc123", "zzz"));
         assert!(!r.passed());
         assert!(r.failures[0].contains("color_hash"));
         // acceptance.met flips are non-fatal (wall-derived).
-        let mut fresh = sample(100, 5, 1.0);
-        if let Value::Object(fields) = &mut fresh {
-            if let Some((_, Value::Object(a))) = fields.iter_mut().find(|(k, _)| k == "acceptance")
-            {
-                a.iter_mut().find(|(k, _)| k == "met").unwrap().1 = Value::Bool(false);
-            }
-        }
-        assert!(check(&sample(100, 5, 1.0), &fresh).passed());
+        assert!(check(&sample(100, 5, 1.0), &flip("\"met\": true", "\"met\": false")).passed());
     }
 
     #[test]
@@ -282,7 +269,7 @@ mod tests {
                     "environment",
                     Obj::new()
                         .field("threads_available", threads)
-                        .field("per_round_workers", Value::Array(vec![Value::Int(workers)]))
+                        .field("per_round_workers", Value::Array(vec![Value::from(workers)]))
                         .build(),
                 )
                 .build()

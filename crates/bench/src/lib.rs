@@ -13,7 +13,6 @@ use std::fmt::Display;
 use std::time::{Duration, Instant};
 
 pub mod gate;
-pub mod json;
 
 /// Benchmark scale, controlled by the `DECO_BENCH_SCALE` environment
 /// variable: `quick` (default) finishes in a couple of minutes; `full`

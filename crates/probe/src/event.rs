@@ -1,7 +1,9 @@
 //! The structured event vocabulary and its JSONL wire format.
 
 use std::borrow::Cow;
-use std::fmt::{self, Write as _};
+use std::fmt::Write as _;
+
+use crate::json::{self, ParseError, Value};
 
 /// A [`RunStats`](../deco_local/struct.RunStats.html)-shaped counter
 /// snapshot, decoupled from `deco-local` so the probe crate stays at the
@@ -299,62 +301,75 @@ impl Event {
     /// # Errors
     ///
     /// Returns [`ParseError`] on malformed JSON, an unknown `type`, or a
-    /// missing field.
+    /// field that is missing or of the wrong kind (counters must fit a
+    /// `u64`).
     pub fn parse_jsonl(line: &str) -> Result<Event, ParseError> {
-        let fields = parse_flat_object(line)?;
-        let kind = fields.str_field("type")?;
-        let ev = match kind {
-            "phase_enter" => Event::PhaseEnter { name: fields.owned_str("name")? },
-            "phase_exit" => {
-                Event::PhaseExit { name: fields.owned_str("name")?, stats: fields.counters()? }
-            }
+        let fields = json::parse(line)?;
+        let int = |key: &str| {
+            fields.get(key).and_then(Value::as_u64).ok_or_else(|| {
+                ParseError::new(format!("field {key:?} missing or not an unsigned 64-bit integer"))
+            })
+        };
+        let text = |key: &str| -> Result<Cow<'static, str>, ParseError> {
+            fields
+                .get(key)
+                .and_then(Value::as_str)
+                .map(|s| Cow::Owned(s.to_string()))
+                .ok_or_else(|| ParseError::new(format!("field {key:?} missing or not a string")))
+        };
+        let counters = || -> Result<Counters, ParseError> {
+            Ok(Counters {
+                rounds: int("rounds")?,
+                node_rounds: int("node_rounds")?,
+                messages: int("messages")?,
+                max_message_bits: int("max_message_bits")?,
+                total_message_bits: int("total_message_bits")?,
+                transport_dropped: int("transport_dropped")?,
+                commit_bytes: int("commit_bytes")?,
+            })
+        };
+        let ev = match text("type")?.as_ref() {
+            "phase_enter" => Event::PhaseEnter { name: text("name")? },
+            "phase_exit" => Event::PhaseExit { name: text("name")?, stats: counters()? },
             "round" => Event::Round {
-                round: fields.int("round")?,
-                live_nodes: fields.int("live_nodes")?,
-                messages: fields.int("messages")?,
-                bits: fields.int("bits")?,
-                sent_messages: fields.int("sent_messages")?,
-                sent_bits: fields.int("sent_bits")?,
-                transport_dropped: fields.int("transport_dropped")?,
+                round: int("round")?,
+                live_nodes: int("live_nodes")?,
+                messages: int("messages")?,
+                bits: int("bits")?,
+                sent_messages: int("sent_messages")?,
+                sent_bits: int("sent_bits")?,
+                transport_dropped: int("transport_dropped")?,
             },
             "commit_enter" => Event::CommitEnter {
-                commit: fields.int("commit")?,
-                inserted: fields.int("inserted")?,
-                deleted: fields.int("deleted")?,
-                n: fields.int("n")?,
-                m: fields.int("m")?,
-                max_degree: fields.int("max_degree")?,
+                commit: int("commit")?,
+                inserted: int("inserted")?,
+                deleted: int("deleted")?,
+                n: int("n")?,
+                m: int("m")?,
+                max_degree: int("max_degree")?,
             },
-            "region" => {
-                Event::Region { commit: fields.int("commit")?, dirty: fields.int("dirty")? }
-            }
-            "strategy" => Event::Strategy {
-                commit: fields.int("commit")?,
-                strategy: fields.owned_str("strategy")?,
-            },
+            "region" => Event::Region { commit: int("commit")?, dirty: int("dirty")? },
+            "strategy" => Event::Strategy { commit: int("commit")?, strategy: text("strategy")? },
             "retry" => Event::Retry {
-                commit: fields.int("commit")?,
-                attempt: fields.int("attempt")?,
-                round_cap: fields.int("round_cap")?,
+                commit: int("commit")?,
+                attempt: int("attempt")?,
+                round_cap: int("round_cap")?,
             },
-            "fallback" => Event::Fallback { commit: fields.int("commit")? },
-            "compaction" => Event::Compaction { commit: fields.int("commit")? },
+            "fallback" => Event::Fallback { commit: int("commit")? },
+            "compaction" => Event::Compaction { commit: int("commit")? },
             "commit_exit" => Event::CommitExit {
-                commit: fields.int("commit")?,
-                strategy: fields.owned_str("strategy")?,
-                recolored: fields.int("recolored")?,
-                schedule_classes: fields.int("schedule_classes")?,
-                color_bound: fields.int("color_bound")?,
-                region_vertices: fields.int("region_vertices")?,
-                retries: fields.int("retries")?,
-                fallbacks: fields.int("fallbacks")?,
-                stats: fields.counters()?,
+                commit: int("commit")?,
+                strategy: text("strategy")?,
+                recolored: int("recolored")?,
+                schedule_classes: int("schedule_classes")?,
+                color_bound: int("color_bound")?,
+                region_vertices: int("region_vertices")?,
+                retries: int("retries")?,
+                fallbacks: int("fallbacks")?,
+                stats: counters()?,
             },
-            "commit_bytes" => Event::CommitBytes { bytes: fields.int("bytes")? },
-            "env" => Event::Env {
-                key: fields.owned_str("key")?,
-                value: fields.owned_str("value")?.into_owned(),
-            },
+            "commit_bytes" => Event::CommitBytes { bytes: int("bytes")? },
+            "env" => Event::Env { key: text("key")?, value: text("value")?.into_owned() },
             other => return Err(ParseError::new(format!("unknown event type {other:?}"))),
         };
         Ok(ev)
@@ -377,184 +392,7 @@ fn push_int_field(s: &mut String, key: &str, v: u64) {
 
 fn push_str_field(s: &mut String, key: &str, v: &str) {
     let _ = write!(s, ",\"{key}\":");
-    push_json_string(s, v);
-}
-
-/// Writes `v` as a JSON string literal (quotes, backslashes and control
-/// characters escaped).
-pub(crate) fn push_json_string(s: &mut String, v: &str) {
-    s.push('"');
-    for ch in v.chars() {
-        match ch {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\t' => s.push_str("\\t"),
-            '\r' => s.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(s, "\\u{:04x}", c as u32);
-            }
-            c => s.push(c),
-        }
-    }
-    s.push('"');
-}
-
-/// Failure to parse a JSONL event line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    message: String,
-}
-
-impl ParseError {
-    fn new(message: impl Into<String>) -> ParseError {
-        ParseError { message: message.into() }
-    }
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid event line: {}", self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-/// A parsed flat JSON object: string and integer fields only — exactly the
-/// shape [`Event::to_jsonl`] emits, so no general JSON tree is needed.
-struct Fields {
-    entries: Vec<(String, FieldValue)>,
-}
-
-enum FieldValue {
-    Int(u64),
-    Str(String),
-}
-
-impl Fields {
-    fn get(&self, key: &str) -> Option<&FieldValue> {
-        self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    fn int(&self, key: &str) -> Result<u64, ParseError> {
-        match self.get(key) {
-            Some(FieldValue::Int(v)) => Ok(*v),
-            Some(FieldValue::Str(_)) => Err(ParseError::new(format!("field {key:?} not an int"))),
-            None => Err(ParseError::new(format!("missing field {key:?}"))),
-        }
-    }
-
-    fn str_field(&self, key: &str) -> Result<&str, ParseError> {
-        match self.get(key) {
-            Some(FieldValue::Str(v)) => Ok(v),
-            Some(FieldValue::Int(_)) => Err(ParseError::new(format!("field {key:?} not a string"))),
-            None => Err(ParseError::new(format!("missing field {key:?}"))),
-        }
-    }
-
-    fn owned_str(&self, key: &str) -> Result<Cow<'static, str>, ParseError> {
-        Ok(Cow::Owned(self.str_field(key)?.to_string()))
-    }
-
-    fn counters(&self) -> Result<Counters, ParseError> {
-        Ok(Counters {
-            rounds: self.int("rounds")?,
-            node_rounds: self.int("node_rounds")?,
-            messages: self.int("messages")?,
-            max_message_bits: self.int("max_message_bits")?,
-            total_message_bits: self.int("total_message_bits")?,
-            transport_dropped: self.int("transport_dropped")?,
-            commit_bytes: self.int("commit_bytes")?,
-        })
-    }
-}
-
-fn parse_flat_object(line: &str) -> Result<Fields, ParseError> {
-    let mut chars = line.trim().char_indices().peekable();
-    let src = line.trim();
-    let mut entries = Vec::new();
-    match chars.next() {
-        Some((_, '{')) => {}
-        _ => return Err(ParseError::new("expected '{'")),
-    }
-    loop {
-        match chars.peek() {
-            Some(&(_, '}')) => {
-                chars.next();
-                break;
-            }
-            Some(&(_, ',')) if !entries.is_empty() => {
-                chars.next();
-            }
-            Some(_) if entries.is_empty() => {}
-            _ => return Err(ParseError::new("expected ',' or '}'")),
-        }
-        let key = parse_string(src, &mut chars)?;
-        match chars.next() {
-            Some((_, ':')) => {}
-            _ => return Err(ParseError::new("expected ':'")),
-        }
-        let value = match chars.peek() {
-            Some(&(_, '"')) => FieldValue::Str(parse_string(src, &mut chars)?),
-            Some(&(start, c)) if c.is_ascii_digit() => {
-                let mut end = start;
-                while chars.peek().is_some_and(|&(_, c)| c.is_ascii_digit()) {
-                    // INVARIANT: extraction follows a successful peek on the same source.
-                    end = chars.next().expect("peeked digit").0;
-                }
-                let v: u64 = src[start..=end]
-                    .parse()
-                    .map_err(|_| ParseError::new("integer out of range"))?;
-                FieldValue::Int(v)
-            }
-            _ => return Err(ParseError::new("expected a string or integer value")),
-        };
-        entries.push((key, value));
-    }
-    if chars.next().is_some() {
-        return Err(ParseError::new("trailing characters after '}'"));
-    }
-    Ok(Fields { entries })
-}
-
-fn parse_string(
-    src: &str,
-    chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>,
-) -> Result<String, ParseError> {
-    match chars.next() {
-        Some((_, '"')) => {}
-        _ => return Err(ParseError::new("expected '\"'")),
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next() {
-            Some((_, '"')) => return Ok(out),
-            Some((_, '\\')) => match chars.next() {
-                Some((_, '"')) => out.push('"'),
-                Some((_, '\\')) => out.push('\\'),
-                Some((_, 'n')) => out.push('\n'),
-                Some((_, 't')) => out.push('\t'),
-                Some((_, 'r')) => out.push('\r'),
-                Some((start, 'u')) => {
-                    let mut end = start;
-                    for _ in 0..4 {
-                        end =
-                            chars.next().ok_or_else(|| ParseError::new("truncated \\u escape"))?.0;
-                    }
-                    let hex = &src[start + 1..=end];
-                    let code = u32::from_str_radix(hex, 16)
-                        .map_err(|_| ParseError::new("bad \\u escape"))?;
-                    out.push(
-                        char::from_u32(code)
-                            .ok_or_else(|| ParseError::new("bad \\u code point"))?,
-                    );
-                }
-                _ => return Err(ParseError::new("unknown escape")),
-            },
-            Some((_, c)) => out.push(c),
-            None => return Err(ParseError::new("unterminated string")),
-        }
-    }
+    json::write_str(s, v);
 }
 
 #[cfg(test)]
@@ -564,6 +402,7 @@ mod tests {
     fn sample_events() -> Vec<Event> {
         vec![
             Event::CommitBytes { bytes: 640 },
+            Event::CommitBytes { bytes: u64::MAX },
             Event::CommitEnter {
                 commit: 0,
                 inserted: 5,
@@ -635,6 +474,9 @@ mod tests {
             "{\"type\":\"round\"}",
             "{\"type\":\"env\",\"key\":\"k\",\"value\":3}",
             "{\"type\":\"commit_bytes\",\"bytes\":640}x",
+            "{\"type\":\"commit_bytes\",\"bytes\":-1}",
+            "{\"type\":\"commit_bytes\",\"bytes\":18446744073709551616}",
+            "{\"type\":\"\\uéééé\"}",
         ] {
             assert!(Event::parse_jsonl(bad).is_err(), "accepted {bad:?}");
         }

@@ -1,12 +1,10 @@
-//! A tiny JSON writer **and reader** for bench result files.
-//!
-//! The offline build has no serde; bench results are flat enough (strings,
-//! numbers, booleans, arrays, objects) that a small escaping writer keeps
-//! the emitted files valid and diffable. Keys keep insertion order so the
-//! generated `BENCH_*.json` files diff cleanly between runs. The reader
-//! ([`parse`]) exists for the deterministic bench gate, which compares
-//! fresh `BENCH_*.json` files against the committed baseline; it covers
-//! exactly the subset the writer emits (which is all the gate ever reads).
+//! The workspace's one JSON codec (the offline build has no serde): a
+//! [`Value`] tree with an insertion-ordered [`Obj`] builder, so generated
+//! files diff cleanly; a pretty and a compact writer; the string escaper
+//! [`write_str`]; and a depth-bounded reader, [`parse`]. Bench files, the
+//! counter gate, profile reports, `deco-tidy --json` and the probe's JSONL
+//! events all use it. `Event::to_jsonl` feeds the pinned digest, so it
+//! builds no tree and writes its fields straight through [`write_str`].
 
 use std::fmt::Write as _;
 
@@ -17,9 +15,11 @@ pub enum Value {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Integers (serialized without a fraction).
-    Int(i64),
-    /// Finite floats (non-finite values serialize as `null`).
+    /// Integers (serialized without a fraction). Wide enough that every
+    /// `i64` and `u64` round-trips exactly.
+    Int(i128),
+    /// Finite floats, written with a fraction so they read back as floats
+    /// (non-finite values serialize as `null`).
     Float(f64),
     /// A string (escaped on write).
     Str(String),
@@ -43,19 +43,19 @@ impl From<String> for Value {
 
 impl From<usize> for Value {
     fn from(v: usize) -> Value {
-        Value::Int(v as i64)
+        Value::Int(v as i128)
     }
 }
 
 impl From<u64> for Value {
     fn from(v: u64) -> Value {
-        Value::Int(v as i64)
+        Value::Int(v.into())
     }
 }
 
 impl From<i64> for Value {
     fn from(v: i64) -> Value {
-        Value::Int(v)
+        Value::Int(v.into())
     }
 }
 
@@ -128,7 +128,9 @@ impl Obj {
     }
 }
 
-fn escape_into(out: &mut String, s: &str) {
+/// Writes `s` as a JSON string literal: quotes, backslashes and control
+/// characters escaped, everything else raw.
+pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -146,9 +148,9 @@ fn escape_into(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn write_value(out: &mut String, v: &Value, indent: usize) {
-    let pad = "  ".repeat(indent);
-    let pad_in = "  ".repeat(indent + 1);
+/// Writes `v`; `indent` is the nesting depth when pretty-printing and
+/// `None` in compact mode.
+fn write_value(out: &mut String, v: &Value, indent: Option<usize>) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => {
@@ -157,55 +159,74 @@ fn write_value(out: &mut String, v: &Value, indent: usize) {
         Value::Int(i) => {
             let _ = write!(out, "{i}");
         }
+        // `{}` writes 80.0 as `80`, which would read back as an integer.
+        Value::Float(f) if f.is_finite() && f.fract() == 0.0 => {
+            let _ = write!(out, "{f:.1}");
+        }
         Value::Float(f) if f.is_finite() => {
             let _ = write!(out, "{f}");
         }
         Value::Float(_) => out.push_str("null"),
-        Value::Str(s) => escape_into(out, s),
+        Value::Str(s) => write_str(out, s),
         Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                out.push_str(&pad_in);
-                write_value(out, item, indent + 1);
-                if i + 1 < items.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            out.push_str(&pad);
-            out.push(']');
+            write_items(out, ['[', ']'], items.iter().map(|v| (None, v)), indent)
         }
         Value::Object(fields) => {
-            if fields.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push_str("{\n");
-            for (i, (k, val)) in fields.iter().enumerate() {
-                out.push_str(&pad_in);
-                escape_into(out, k);
-                out.push_str(": ");
-                write_value(out, val, indent + 1);
-                if i + 1 < fields.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            out.push_str(&pad);
-            out.push('}');
+            let fields = fields.iter().map(|(k, v)| (Some(k.as_str()), v));
+            write_items(out, ['{', '}'], fields, indent);
         }
+    }
+}
+
+/// Writes a container's items, each with its key when it has one.
+fn write_items<'a>(
+    out: &mut String,
+    [open, close]: [char; 2],
+    items: impl Iterator<Item = (Option<&'a str>, &'a Value)>,
+    indent: Option<usize>,
+) {
+    out.push(open);
+    let mut empty = true;
+    for (key, value) in items {
+        if !empty {
+            out.push(',');
+        }
+        empty = false;
+        if let Some(depth) = indent {
+            newline(out, depth + 1);
+        }
+        if let Some(key) = key {
+            write_str(out, key);
+            out.push_str(if indent.is_some() { ": " } else { ":" });
+        }
+        write_value(out, value, indent.map(|d| d + 1));
+    }
+    match indent {
+        Some(depth) if !empty => newline(out, depth),
+        _ => {}
+    }
+    out.push(close);
+}
+
+fn newline(out: &mut String, depth: usize) {
+    out.push('\n');
+    for _ in 0..depth {
+        out.push_str("  ");
     }
 }
 
 /// Serializes `v` as pretty-printed JSON (2-space indent, trailing newline).
 pub fn to_string(v: &Value) -> String {
     let mut out = String::new();
-    write_value(&mut out, v, 0);
+    write_value(&mut out, v, Some(0));
     out.push('\n');
+    out
+}
+
+/// Serializes `v` on one line, with no whitespace and no trailing newline.
+pub fn to_string_compact(v: &Value) -> String {
+    let mut out = String::new();
+    write_value(&mut out, v, None);
     out
 }
 
@@ -225,39 +246,68 @@ impl Value {
             _ => None,
         }
     }
+
+    /// The integer payload, if this is an integer that fits a `u64`.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Value::Int(i) => u64::try_from(*i).ok(),
+            _ => None,
+        }
+    }
 }
 
-/// Error from [`parse`]: byte offset plus message.
+/// Failure to parse JSON text, or to read a parsed document as the shape
+/// its caller expects.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
-    /// Byte offset of the problem.
-    pub at: usize,
+    /// Byte offset of a syntax error; `None` when the text parsed but its
+    /// content did not fit.
+    pub at: Option<usize>,
     /// What went wrong.
     pub what: String,
 }
 
+impl ParseError {
+    /// A content error: the text parsed, but not into the expected shape.
+    pub fn new(what: impl Into<String>) -> ParseError {
+        ParseError { at: None, what: what.into() }
+    }
+}
+
 impl std::fmt::Display for ParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "json parse error at byte {}: {}", self.at, self.what)
+        match self.at {
+            Some(at) => write!(f, "json parse error at byte {at}: {}", self.what),
+            None => f.write_str(&self.what),
+        }
     }
 }
 
 impl std::error::Error for ParseError {}
 
-/// Parses a JSON document (the subset [`to_string`] emits: no `\u` escapes
-/// beyond the writer's, numbers as i64 when integral and in range, f64
-/// otherwise).
+fn syntax(at: usize, what: impl Into<String>) -> ParseError {
+    ParseError { at: Some(at), what: what.into() }
+}
+
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// reader recurses once per level, so the cap bounds its stack on hostile
+/// input; the committed bench files nest at most 8 levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a JSON document: integers as [`Value::Int`] while they fit an
+/// `i128`, other numbers as [`Value::Float`].
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] on malformed input or trailing garbage.
+/// Returns [`ParseError`] on malformed input, nesting deeper than
+/// [`MAX_DEPTH`], or trailing garbage.
 pub fn parse(text: &str) -> Result<Value, ParseError> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
-        return Err(ParseError { at: pos, what: "trailing characters".into() });
+        return Err(syntax(pos, "trailing characters"));
     }
     Ok(value)
 }
@@ -273,14 +323,18 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), ParseError> {
         *pos += 1;
         Ok(())
     } else {
-        Err(ParseError { at: *pos, what: format!("expected '{}'", c as char) })
+        Err(syntax(*pos, format!("expected '{}'", c as char)))
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
+/// Parses the value at `pos`, which sits inside `depth` containers.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
     skip_ws(b, pos);
     match b.get(*pos) {
-        None => Err(ParseError { at: *pos, what: "unexpected end of input".into() }),
+        None => Err(syntax(*pos, "unexpected end of input")),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(syntax(*pos, format!("nesting deeper than {MAX_DEPTH} levels")))
+        }
         Some(b'{') => {
             *pos += 1;
             let mut fields = Vec::new();
@@ -294,7 +348,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                fields.push((key, parse_value(b, pos)?));
+                fields.push((key, parse_value(b, pos, depth + 1)?));
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -302,7 +356,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
                         *pos += 1;
                         return Ok(Value::Object(fields));
                     }
-                    _ => return Err(ParseError { at: *pos, what: "expected ',' or '}'".into() }),
+                    _ => return Err(syntax(*pos, "expected ',' or '}'")),
                 }
             }
         }
@@ -315,7 +369,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -323,7 +377,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
                         *pos += 1;
                         return Ok(Value::Array(items));
                     }
-                    _ => return Err(ParseError { at: *pos, what: "expected ',' or ']'".into() }),
+                    _ => return Err(syntax(*pos, "expected ',' or ']'")),
                 }
             }
         }
@@ -349,7 +403,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, ParseError> {
     let mut out = String::new();
     loop {
         match b.get(*pos) {
-            None => return Err(ParseError { at: *pos, what: "unterminated string".into() }),
+            None => return Err(syntax(*pos, "unterminated string")),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
@@ -364,31 +418,32 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                     Some(b'r') => out.push('\r'),
                     Some(b't') => out.push('\t'),
                     Some(b'u') => {
-                        let hex = b
+                        // Exactly four hex digits naming a scalar value
+                        // (surrogates are rejected, never emitted here).
+                        let c = b
                             .get(*pos + 1..*pos + 5)
+                            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                             .and_then(|h| std::str::from_utf8(h).ok())
                             .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| ParseError {
-                                at: *pos,
-                                what: "bad \\u escape".into(),
-                            })?;
-                        out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
+                            .and_then(char::from_u32)
+                            .ok_or_else(|| syntax(*pos, "bad \\u escape"))?;
+                        out.push(c);
                         *pos += 4;
                     }
-                    _ => return Err(ParseError { at: *pos, what: "bad escape".into() }),
+                    _ => return Err(syntax(*pos, "bad escape")),
                 }
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (the writer leaves them raw).
+                // Copy the raw run up to the next quote or backslash; both
+                // are ASCII, so the run ends on a character boundary.
                 let start = *pos;
-                *pos += 1;
-                while *pos < b.len() && b[*pos] & 0xC0 == 0x80 {
+                while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\') {
                     *pos += 1;
                 }
                 out.push_str(
                     std::str::from_utf8(&b[start..*pos])
-                        .map_err(|_| ParseError { at: start, what: "invalid utf-8".into() })?,
+                        .map_err(|_| syntax(start, "invalid utf-8"))?,
                 );
             }
         }
@@ -400,16 +455,15 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
     while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&b[start..*pos])
-        .map_err(|_| ParseError { at: start, what: "invalid number".into() })?;
+    let text = std::str::from_utf8(&b[start..*pos]).map_err(|_| syntax(start, "invalid number"))?;
     if !text.contains(['.', 'e', 'E']) {
-        if let Ok(i) = text.parse::<i64>() {
+        if let Ok(i) = text.parse::<i128>() {
             return Ok(Value::Int(i));
         }
     }
     text.parse::<f64>()
         .map(Value::Float)
-        .map_err(|_| ParseError { at: start, what: format!("invalid number '{text}'") })
+        .map_err(|_| syntax(start, format!("invalid number '{text}'")))
 }
 
 #[cfg(test)]
@@ -427,12 +481,13 @@ mod tests {
     fn escaping() {
         let v = Value::Str("a\"b\\c\nd\u{1}".to_string());
         assert_eq!(to_string(&v), "\"a\\\"b\\\\c\\nd\\u0001\"\n");
+        assert_eq!(parse(&to_string(&v)).unwrap(), v);
     }
 
     #[test]
     fn nested_round_shape() {
         let v = Obj::new()
-            .field("xs", vec![Value::from(1usize), Value::from(2usize)])
+            .field("xs", array([1usize, 2]))
             .field("nested", Obj::new().field("ok", true).build())
             .field("nan", f64::NAN)
             .build();
@@ -454,8 +509,18 @@ mod tests {
         assert_eq!(to_string(&v), "[\n  1,\n  2,\n  3\n]\n");
     }
 
-    fn normalized(v: &Value) -> String {
-        to_string(v)
+    #[test]
+    fn compact_mode_has_no_whitespace() {
+        let v = Obj::new()
+            .field("a", 1usize)
+            .field("b", Value::Array(vec![Value::Bool(true), Value::Null]))
+            .field("c", Obj::new().build())
+            .field("d", Value::Array(vec![]))
+            .field("e", "x y")
+            .build();
+        let s = to_string_compact(&v);
+        assert_eq!(s, r#"{"a":1,"b":[true,null],"c":{},"d":[],"e":"x y"}"#);
+        assert_eq!(parse(&s).unwrap(), v);
     }
 
     #[test]
@@ -465,20 +530,20 @@ mod tests {
             .field("count", 42usize)
             .field("neg", -7i64)
             .field("ratio", 2.5f64)
+            .field("zero", 0.0f64)
+            .field("whole", 80.0f64)
+            .field("neg_whole", -3.0f64)
             .field("ok", true)
             .field("none", Value::Null)
-            .field("text", "a\"b\\c\nd")
+            .field("text", "a\"b\\c\nd é")
             .field("xs", array([1usize, 2, 3]))
             .field("nested", Obj::new().field("empty_arr", Value::Array(vec![])).build())
             .build();
         let text = to_string(&v);
         let back = parse(&text).unwrap();
-        assert_eq!(normalized(&back), text);
-        assert_eq!(back.get("count"), Some(&Value::Int(42)));
-        assert_eq!(
-            back.get("nested").and_then(|n| n.get("empty_arr")),
-            Some(&Value::Array(vec![]))
-        );
+        assert_eq!(back, v, "every leaf keeps its class: {text}");
+        assert_eq!(to_string(&back), text);
+        assert_eq!(back.get("whole"), Some(&Value::Float(80.0)));
         assert_eq!(back.get("bench").and_then(Value::as_str), Some("demo"));
     }
 
@@ -491,6 +556,20 @@ mod tests {
         assert!(parse("{\"a\" 1}").is_err());
         let e = parse("nope").unwrap_err();
         assert!(e.to_string().contains("byte"));
+        // A \u escape takes exactly four hex digits naming a scalar value.
+        for bad in [r#""\uéééé""#, r#""\u+abc""#, r#""\u12""#, r#""\ud800""#, r#""\u12é""#] {
+            assert!(parse(bad).is_err(), "accepted {bad}");
+        }
+    }
+
+    #[test]
+    fn parse_bounds_nesting() {
+        // One recursion per level: uncapped, this overflows the stack.
+        let e = parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert_eq!(e.at, Some(MAX_DEPTH), "{e}");
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
+        assert!(parse(&format!("{{\"a\":{deepest}}}")).is_err());
     }
 
     #[test]
@@ -499,8 +578,11 @@ mod tests {
         assert_eq!(parse("-5").unwrap(), Value::Int(-5));
         assert!(matches!(parse("5.5").unwrap(), Value::Float(f) if f == 5.5));
         assert!(matches!(parse("1e3").unwrap(), Value::Float(f) if f == 1000.0));
-        // Bigger than i64 falls back to float rather than failing.
-        assert!(matches!(parse("99999999999999999999").unwrap(), Value::Float(_)));
+        // Every u64 is an integer; past i128 falls back to float.
+        let max = Value::from(u64::MAX);
+        assert_eq!(parse(&to_string(&max)).unwrap().as_u64(), Some(u64::MAX));
+        assert_eq!(Value::Int(-1).as_u64(), None);
+        assert!(matches!(parse(&"9".repeat(40)).unwrap(), Value::Float(_)));
     }
 
     #[test]

@@ -33,16 +33,23 @@
 //! [`report::Report`] rolls a recorded (or re-parsed) event stream into a
 //! per-phase cost breakdown; [`registry::Registry`] is the underlying
 //! counters-and-histograms store with a stable text exposition.
+//!
+//! [`json`] is the workspace's one JSON codec. It lives here, at the bottom
+//! of the dependency graph, so the JSONL events, profile reports, bench
+//! result files, the counter gate and `deco-tidy --json` share one writer,
+//! one escaper, one parser and one [`ParseError`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod event;
+pub mod json;
 pub mod registry;
 pub mod report;
 mod sink;
 
-pub use event::{Counters, Event, ParseError};
+pub use event::{Counters, Event};
+pub use json::ParseError;
 pub use sink::{digest_events, null, read_jsonl, JsonlProbe, NullProbe, Probe, RecordingProbe};
 
 /// The 64-bit FNV-1a hash the probe pins deterministic streams with (the

@@ -9,7 +9,8 @@
 
 use std::fmt::Write as _;
 
-use crate::event::{push_json_string, Counters, Event};
+use crate::event::{Counters, Event};
+use crate::json::{self, Obj};
 use crate::registry::Registry;
 
 /// One aggregated pipeline phase: every [`Event::PhaseExit`] with the same
@@ -212,102 +213,56 @@ impl Report {
         out
     }
 
-    /// Renders the bench-gate-compatible JSON document. Deterministic
-    /// counters sit at the top level (cost-keyed, so the gate lets them
-    /// improve but never regress); histogram expositions and env facts go
-    /// under `environment`, which the gate never fails on.
+    /// Renders the bench-gate-compatible JSON document, compact.
+    /// Deterministic counters sit at the top level (cost-keyed, so the gate
+    /// lets them improve but never regress); histogram expositions and env
+    /// facts go under `environment`, which the gate never fails on.
     pub fn to_json(&self, bench: &str) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push('{');
-        json_str(&mut s, "bench", bench);
-        s.push(',');
-        json_int(&mut s, "commits", self.commits);
-        s.push(',');
-        s.push_str("\"totals\":");
-        json_counters(&mut s, &self.totals);
-        s.push(',');
-        s.push_str("\"phases\":{");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            push_json_string(&mut s, &p.name);
-            s.push_str(":{");
-            json_int(&mut s, "runs", p.runs);
-            s.push(',');
-            json_int(&mut s, "rounds", p.stats.rounds);
-            s.push(',');
-            json_int(&mut s, "node_rounds", p.stats.node_rounds);
-            s.push(',');
-            json_int(&mut s, "messages", p.stats.messages);
-            s.push(',');
-            let _ = write!(s, "\"share_pct\":{:.3}", self.share_pct(p));
-            s.push('}');
-        }
-        s.push_str("},");
-        s.push_str("\"strategies\":{");
-        for (i, (name, n)) in self.strategies.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            push_json_string(&mut s, name);
-            let _ = write!(s, ":{n}");
-        }
-        s.push_str("},");
-        json_int(&mut s, "retries", self.retries);
-        s.push(',');
-        json_int(&mut s, "fallbacks", self.fallbacks);
-        s.push(',');
-        json_int(&mut s, "compactions", self.compactions);
-        s.push(',');
-        json_int(&mut s, "commit_machinery_bytes", self.commit_bytes);
-        s.push(',');
-        json_int(&mut s, "rounds_sampled", self.rounds_sampled);
-        s.push(',');
-        json_int(&mut s, "peak_live_node_count", self.peak_live_nodes);
-        s.push(',');
-        s.push_str("\"environment\":{");
-        json_str(&mut s, "metrics_exposition", &self.registry.expose());
-        for (k, v) in &self.env {
-            s.push(',');
-            json_str(&mut s, k, v);
-        }
-        s.push_str("}}");
-        s
+        let counters = |c: &Counters| {
+            Obj::new()
+                .field("rounds", c.rounds)
+                .field("node_rounds", c.node_rounds)
+                .field("messages", c.messages)
+                .field("max_message_bits", c.max_message_bits)
+                .field("total_message_bits", c.total_message_bits)
+                .field("transport_dropped", c.transport_dropped)
+                .field("commit_bytes", c.commit_bytes)
+                .build()
+        };
+        let phases = self.phases.iter().fold(Obj::new(), |o, p| {
+            let row = Obj::new()
+                .field("runs", p.runs)
+                .field("rounds", p.stats.rounds)
+                .field("node_rounds", p.stats.node_rounds)
+                .field("messages", p.stats.messages)
+                // Three decimals, as the committed PROFILE_report.json has.
+                .field("share_pct", (self.share_pct(p) * 1000.0).round() / 1000.0);
+            o.field(&p.name, row.build())
+        });
+        let strategies = self.strategies.iter().fold(Obj::new(), |o, (s, n)| o.field(s, *n));
+        let environment = Obj::new().field("metrics_exposition", self.registry.expose());
+        let environment = self.env.iter().fold(environment, |o, (k, v)| o.field(k, v.as_str()));
+        let doc = Obj::new()
+            .field("bench", bench)
+            .field("commits", self.commits)
+            .field("totals", counters(&self.totals))
+            .field("phases", phases.build())
+            .field("strategies", strategies.build())
+            .field("retries", self.retries)
+            .field("fallbacks", self.fallbacks)
+            .field("compactions", self.compactions)
+            .field("commit_machinery_bytes", self.commit_bytes)
+            .field("rounds_sampled", self.rounds_sampled)
+            .field("peak_live_node_count", self.peak_live_nodes)
+            .field("environment", environment.build());
+        json::to_string_compact(&doc.build())
     }
-}
-
-fn json_int(s: &mut String, key: &str, v: u64) {
-    let _ = write!(s, "\"{key}\":{v}");
-}
-
-fn json_str(s: &mut String, key: &str, v: &str) {
-    push_json_string(s, key);
-    s.push(':');
-    push_json_string(s, v);
-}
-
-fn json_counters(s: &mut String, c: &Counters) {
-    s.push('{');
-    json_int(s, "rounds", c.rounds);
-    s.push(',');
-    json_int(s, "node_rounds", c.node_rounds);
-    s.push(',');
-    json_int(s, "messages", c.messages);
-    s.push(',');
-    json_int(s, "max_message_bits", c.max_message_bits);
-    s.push(',');
-    json_int(s, "total_message_bits", c.total_message_bits);
-    s.push(',');
-    json_int(s, "transport_dropped", c.transport_dropped);
-    s.push(',');
-    json_int(s, "commit_bytes", c.commit_bytes);
-    s.push('}');
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
 
     fn commit_events() -> Vec<Event> {
         vec![
@@ -425,6 +380,11 @@ mod tests {
         assert!(json.contains("\"bench\":\"pr8_profile\""), "{json}");
         assert!(json.contains("\"node_rounds\":50"), "{json}");
         assert!(json.contains("\"environment\":{\"metrics_exposition\":"), "{json}");
+        // A whole-number share stays a float for the gate's leaf classes.
+        let doc = json::parse(&json).unwrap();
+        let share = |phase: &str| doc.get("phases")?.get(phase)?.get("share_pct").cloned();
+        assert_eq!(share("repair/schedule-pipeline"), Some(Value::Float(80.0)));
+        assert_eq!(share("repair/finalize"), Some(Value::Float(20.0)));
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::event::Event;
-use crate::Fnv;
+use crate::{Fnv, ParseError};
 
 /// A structured event sink.
 ///
@@ -188,13 +188,15 @@ impl Drop for JsonlProbe {
 ///
 /// # Errors
 ///
-/// Returns the first [`ParseError`](crate::ParseError), annotated with its
-/// 1-based line number via the message.
-pub fn read_jsonl(text: &str) -> Result<Vec<Event>, crate::ParseError> {
+/// Returns the first [`ParseError`], its message prefixed with the
+/// 1-based line number (`line 2: …`).
+pub fn read_jsonl(text: &str) -> Result<Vec<Event>, ParseError> {
     text.lines()
         .enumerate()
         .filter(|(_, l)| !l.trim().is_empty())
-        .map(|(_, l)| Event::parse_jsonl(l))
+        .map(|(i, l)| {
+            Event::parse_jsonl(l).map_err(|e| ParseError::new(format!("line {}: {e}", i + 1)))
+        })
         .collect()
 }
 
@@ -271,5 +273,16 @@ mod tests {
         assert_eq!(back, events);
         assert_eq!(digest_events(&back), digest_events(&events));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn read_jsonl_names_the_bad_line() {
+        let good = Event::CommitBytes { bytes: 1 }.to_jsonl();
+        let text = format!("{good}\n{{\"type\":\"commit_bytes\"}}\n{good}\n");
+        let e = read_jsonl(&text).unwrap_err();
+        assert!(e.to_string().starts_with("line 2: "), "{e}");
+        // Blank lines are skipped but still counted.
+        let e = read_jsonl(&format!("{good}\n\n[\n")).unwrap_err();
+        assert!(e.to_string().starts_with("line 3: json parse error"), "{e}");
     }
 }

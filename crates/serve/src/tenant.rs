@@ -116,7 +116,7 @@ impl TenantSnapshot {
     /// The engine's committed state, stamped with its commit count.
     pub(crate) fn capture(engine: &dyn RegionRecolor) -> TenantSnapshot {
         let commits = engine.commits();
-        let graph = engine.snapshot();
+        let (graph, coloring) = engine.publish();
         TenantSnapshot {
             epoch: commits as u64,
             commits,
@@ -124,7 +124,7 @@ impl TenantSnapshot {
             m: graph.m(),
             max_degree: graph.max_degree(),
             color_bound: engine.color_bound(),
-            coloring: engine.coloring(),
+            coloring,
             graph,
         }
     }

@@ -81,6 +81,13 @@ pub trait RegionRecolor {
     /// over a non-empty graph (the initial coloring has not run yet).
     fn coloring(&self) -> EdgeColoring;
 
+    /// [`snapshot`](RegionRecolor::snapshot) and
+    /// [`coloring`](RegionRecolor::coloring) together, from one walk of a
+    /// segmented store. Panics as `coloring` does.
+    fn publish(&self) -> (Graph, EdgeColoring) {
+        (self.snapshot(), self.coloring())
+    }
+
     /// The palette bound the current snapshot's colors are kept under.
     fn color_bound(&self) -> u64;
 
@@ -147,6 +154,10 @@ impl<S: Store> RegionRecolor for RecolorEngine<S> {
         RecolorEngine::coloring(self)
     }
 
+    fn publish(&self) -> (Graph, EdgeColoring) {
+        self.store.publish(&self.colors)
+    }
+
     fn color_bound(&self) -> u64 {
         RecolorEngine::color_bound(self)
     }
@@ -156,8 +167,7 @@ impl<S: Store> RegionRecolor for RecolorEngine<S> {
     }
 
     fn verify(&self) -> Result<(), String> {
-        let g = self.store.snapshot();
-        let coloring = RecolorEngine::coloring(self);
+        let (g, coloring) = RegionRecolor::publish(self);
         if coloring.colors().len() != g.m() {
             return Err(format!(
                 "coloring covers {} edges, snapshot has {}",

@@ -123,6 +123,22 @@ pub trait Store {
     ///
     /// Panics if a live edge is uncolored.
     fn lex_coloring(&self, colors: &[Color]) -> EdgeColoring;
+
+    /// [`Store::snapshot`] and [`Store::lex_coloring`] together, for a
+    /// store that can build both from one walk. Panics as `lex_coloring`
+    /// does.
+    fn publish(&self, colors: &[Color]) -> (Graph, EdgeColoring) {
+        (self.snapshot(), self.lex_coloring(colors))
+    }
+}
+
+/// The complete coloring `colors` yields, in order.
+fn complete(colors: impl Iterator<Item = Color>) -> EdgeColoring {
+    EdgeColoring::new(
+        colors
+            .inspect(|&c| assert_ne!(c, UNCOLORED, "coloring is complete between commits"))
+            .collect(),
+    )
 }
 
 /// One commit's outcome as [`Store::carry`] reports it.
@@ -204,15 +220,7 @@ impl Store for MutableGraph {
     }
 
     fn lex_coloring(&self, colors: &[Color]) -> EdgeColoring {
-        EdgeColoring::new(
-            colors
-                .iter()
-                .map(|&c| {
-                    assert_ne!(c, UNCOLORED, "coloring is complete between commits");
-                    c
-                })
-                .collect(),
-        )
+        complete(colors.iter().copied())
     }
 }
 
@@ -303,16 +311,14 @@ impl Store for SegmentedGraph {
     }
 
     fn lex_coloring(&self, colors: &[Color]) -> EdgeColoring {
-        EdgeColoring::new(
-            self.lex_edge_ids()
-                .iter()
-                .map(|&id| {
-                    let c = colors[id as usize];
-                    assert_ne!(c, UNCOLORED, "coloring is complete between commits");
-                    c
-                })
-                .collect(),
-        )
+        complete(self.lex_edge_ids().iter().map(|&id| colors[id as usize]))
+    }
+
+    /// One walk: `to_graph` already builds the lexicographic id map that
+    /// [`Store::lex_coloring`] would walk the segments again for.
+    fn publish(&self, colors: &[Color]) -> (Graph, EdgeColoring) {
+        let (g, idmap) = self.to_graph();
+        (g, complete(idmap.iter().map(|&id| colors[id as usize])))
     }
 }
 

@@ -174,7 +174,7 @@ pub struct RecolorEngine<S> {
     /// Color per host edge handle ([`RegionHost::edge_bound`] entries):
     /// live edges hold committed colors between commits, freed segmented
     /// ids hold [`UNCOLORED`] holes.
-    colors: Vec<Color>,
+    pub(crate) colors: Vec<Color>,
     params: LegalParams,
     mode: MessageMode,
     /// Every per-instance knob — threshold, compaction cadence, early

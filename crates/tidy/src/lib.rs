@@ -2,9 +2,10 @@
 //! contracts the rest of the workspace only *states* in rustdoc: the
 //! determinism model (bit-identical colorings across engines × threads ×
 //! delivery × shards), the probe zero-cost contract, the unsafe audit,
-//! and a handful of hygiene rules. Zero external dependencies; the
-//! scanner is a hand-rolled line/token pass in the style of
-//! rust-lang/rust's `tidy`, so the offline build stays intact.
+//! and a handful of hygiene rules. Zero external dependencies (the one
+//! dependency, the workspace's own dependency-free `deco-probe`, writes the
+//! `--json` report); the scanner is a hand-rolled line/token pass in the
+//! style of rust-lang/rust's `tidy`, so the offline build stays intact.
 //!
 //! # Lints
 //!
@@ -51,6 +52,7 @@ mod walk;
 pub use lints::{lint_manifest, lint_readme, lint_rust_source, LINT_NAMES};
 pub use walk::check_workspace;
 
+use deco_probe::json::{array, Obj, Value};
 use std::fmt;
 
 /// One reported violation (or allowlist-syntax problem).
@@ -89,50 +91,20 @@ impl Report {
 
     /// The machine-readable report (`deco-tidy check --json`): one stable
     /// JSON object with the lint registry, scan size, and each violation.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"lints\": [");
-        for (i, name) in LINT_NAMES.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push('"');
-            s.push_str(name);
-            s.push('"');
-        }
-        s.push_str("],\n");
-        s.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        s.push_str(&format!("  \"violation_count\": {},\n", self.violations.len()));
-        s.push_str("  \"violations\": [");
-        for (i, d) in self.violations.iter().enumerate() {
-            s.push_str(if i == 0 { "\n" } else { ",\n" });
-            s.push_str(&format!(
-                "    {{\"lint\": \"{}\", \"path\": \"{}\", \"line\": {}, \"message\": \"{}\"}}",
-                json_escape(d.lint),
-                json_escape(&d.path),
-                d.line,
-                json_escape(&d.message)
-            ));
-        }
-        if !self.violations.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("]\n}\n");
-        s
+    pub fn json(&self) -> Value {
+        let violations = self.violations.iter().map(|d| {
+            Obj::new()
+                .field("lint", d.lint)
+                .field("path", d.path.as_str())
+                .field("line", d.line)
+                .field("message", d.message.as_str())
+                .build()
+        });
+        Obj::new()
+            .field("lints", array(LINT_NAMES.iter().copied()))
+            .field("files_scanned", self.files_scanned)
+            .field("violation_count", self.violations.len())
+            .field("violations", array(violations))
+            .build()
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }

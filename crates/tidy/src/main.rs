@@ -61,7 +61,7 @@ fn main() -> ExitCode {
     };
 
     if json {
-        print!("{}", report.to_json());
+        print!("{}", deco_probe::json::to_string(&report.json()));
     } else {
         for d in &report.violations {
             println!("{d}");

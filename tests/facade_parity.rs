@@ -112,7 +112,10 @@ fn facade_snapshots_are_lexicographic_on_both_engines() {
     let mut snaps = Vec::new();
     for mut engine in engines {
         replay_trace_on(engine.as_mut(), &trace).unwrap();
-        snaps.push((engine.snapshot(), engine.coloring(), engine.color_bound()));
+        let (graph, coloring) = engine.publish();
+        assert_eq!(graph, engine.snapshot(), "publish and snapshot disagree");
+        assert_eq!(coloring, engine.coloring(), "publish and coloring disagree");
+        snaps.push((graph, coloring, engine.color_bound()));
     }
     assert_eq!(snaps[0].0, snaps[1].0, "lexicographic snapshots diverged");
     assert_eq!(snaps[0].1, snaps[1].1, "lexicographic colorings diverged");

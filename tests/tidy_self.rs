@@ -9,6 +9,7 @@
 //! blanks string-literal contents before linting, so this file does not
 //! trip the whole-tree pass it tests.
 
+use deco_probe::json::{self, Value};
 use std::path::Path;
 
 /// Lints a fixture as PR 10 and returns the names of the lints that fired.
@@ -238,5 +239,25 @@ fn corrupted_tree_fails_the_scan() {
     assert!(!report.is_clean(), "seeded HashMap violation went undetected");
     assert!(report.violations.iter().any(|d| d.lint == "hash-iter"), "{:?}", report.violations);
     // And the JSON report carries it for machine consumers.
-    assert!(report.to_json().contains("\"hash-iter\""));
+    assert!(json::to_string(&report.json()).contains("\"hash-iter\""));
+}
+
+#[test]
+fn json_report_parses_back_with_its_violation_count() {
+    let diag = |lint, message: &str| deco_tidy::Diagnostic {
+        lint,
+        path: "crates/graph/src/a \"b\".rs".to_string(),
+        line: 3,
+        message: message.to_string(),
+    };
+    let report = deco_tidy::Report {
+        violations: vec![diag("hash-iter", "tab\t\"quote\"\n\\"), diag("wall-clock", "é")],
+        files_scanned: 7,
+    };
+    let text = json::to_string(&report.json());
+    let doc = json::parse(&text).unwrap_or_else(|e| panic!("{e}:\n{text}"));
+    assert_eq!(doc.get("violation_count").and_then(Value::as_u64), Some(2), "{text}");
+    let Some(Value::Array(violations)) = doc.get("violations") else { panic!("{text}") };
+    let messages: Vec<_> = violations.iter().map(|v| v.get("message")?.as_str()).collect();
+    assert_eq!(messages, [Some("tab\t\"quote\"\n\\"), Some("é")]);
 }

@@ -235,11 +235,6 @@ impl MutableGraph {
         self.batch.shrink();
     }
 
-    /// Discards all queued operations, keeping the committed state.
-    pub fn discard_pending(&mut self) {
-        self.batch.clear();
-    }
-
     /// Applies the queued batch atomically via the delta-CSR patch
     /// ([`Graph::patched`]) and returns the net delta. Batches containing a
     /// shrink compaction route to [`MutableGraph::commit_rebuild`].

@@ -584,11 +584,6 @@ impl SegmentedGraph {
         self.batch.shrink();
     }
 
-    /// Discards all queued operations, keeping the committed state.
-    pub fn discard_pending(&mut self) {
-        self.batch.clear();
-    }
-
     /// Applies the queued batch atomically, writing only the segments of
     /// touched vertices — O(region) bytes, counted in
     /// [`SegCommitDelta::commit_bytes`]. Batches containing a shrink

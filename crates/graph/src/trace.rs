@@ -172,6 +172,47 @@ impl fmt::Display for ParseTraceError {
 
 impl Error for ParseTraceError {}
 
+/// Why [`try_churn_trace_from`] cannot generate the requested trace.
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum ChurnTraceError {
+    /// The base graph's maximum degree exceeds the degree cap.
+    DegreeCap {
+        /// The base graph's maximum degree.
+        max_degree: usize,
+        /// The requested cap.
+        delta_cap: usize,
+    },
+    /// A churn commit would delete more edges than the graph holds: the
+    /// base graph is too small, or an earlier commit's capacity fallback
+    /// deleted extra edges.
+    TooFewEdges {
+        /// The trace commit (commit 1 builds the base graph).
+        commit: usize,
+        /// Edges present before it.
+        edges: usize,
+        /// The requested churn.
+        churn: usize,
+    },
+}
+
+impl fmt::Display for ChurnTraceError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ChurnTraceError::DegreeCap { max_degree, delta_cap } => {
+                write!(f, "base graph exceeds the degree cap: Δ = {max_degree} > {delta_cap}")
+            }
+            ChurnTraceError::TooFewEdges { commit, edges, churn } => write!(
+                f,
+                "graph too small for the requested churn: commit {commit} deletes {churn} \
+                 edges but the graph has {edges}"
+            ),
+        }
+    }
+}
+
+impl Error for ChurnTraceError {}
+
 /// Serializes a trace to the plain-text format (inverse of [`parse_trace`]).
 pub fn to_text(trace: &Trace) -> String {
     let mut out = String::new();
@@ -285,8 +326,8 @@ pub fn parse_trace(text: &str) -> Result<Trace, ParseTraceError> {
 ///
 /// # Panics
 ///
-/// Panics if `delta_cap >= n`, or if the graph runs out of edges or of
-/// degree capacity for the requested churn.
+/// Panics if `delta_cap >= n`, or where [`try_churn_trace_from`] returns
+/// an error.
 pub fn churn_trace(
     n: usize,
     delta_cap: usize,
@@ -319,16 +360,12 @@ pub fn power_law_churn_trace(
     churn_trace_from(&base, d_max, churn_commits, churn, seed)
 }
 
-/// [`churn_trace`] over an explicit base graph: commit 1 inserts exactly
-/// `base`'s edges, then `churn_commits` seeded churn batches follow under
-/// the given degree cap. Callers that already built (or inspected) the base
-/// graph avoid generating it twice; `churn_trace(n, cap, c, k, s)` is
-/// exactly `churn_trace_from(&random_bounded_degree(n, cap, s), cap, c, k, s)`.
+/// [`try_churn_trace_from`] for arguments known to fit.
 ///
 /// # Panics
 ///
-/// Same conditions as [`churn_trace`]; additionally if `base` exceeds
-/// `delta_cap`.
+/// Panics with the error's message where [`try_churn_trace_from`] returns
+/// one.
 pub fn churn_trace_from(
     base: &Graph,
     delta_cap: usize,
@@ -336,8 +373,33 @@ pub fn churn_trace_from(
     churn: usize,
     seed: u64,
 ) -> Trace {
+    // INVARIANT: the infallible wrapper re-raises errors from the fallible variant; callers choosing it accept the panic.
+    try_churn_trace_from(base, delta_cap, churn_commits, churn, seed)
+        .unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`churn_trace`] over an explicit base graph: commit 1 inserts exactly
+/// `base`'s edges, then `churn_commits` seeded churn batches follow under
+/// the given degree cap. Callers that already built (or inspected) the base
+/// graph avoid generating it twice; `churn_trace(n, cap, c, k, s)` is
+/// exactly `churn_trace_from(&random_bounded_degree(n, cap, s), cap, c, k, s)`.
+///
+/// # Errors
+///
+/// [`ChurnTraceError::DegreeCap`] if `base` exceeds `delta_cap`, and
+/// [`ChurnTraceError::TooFewEdges`] if a churn commit finds fewer than
+/// `churn` edges to delete.
+pub fn try_churn_trace_from(
+    base: &Graph,
+    delta_cap: usize,
+    churn_commits: usize,
+    churn: usize,
+    seed: u64,
+) -> Result<Trace, ChurnTraceError> {
     let n = base.n();
-    assert!(base.max_degree() <= delta_cap, "base graph exceeds the degree cap");
+    if base.max_degree() > delta_cap {
+        return Err(ChurnTraceError::DegreeCap { max_degree: base.max_degree(), delta_cap });
+    }
     let mut ops: Vec<TraceOp> = Vec::new();
     let mut edges: Vec<(Vertex, Vertex)> = base.edges().collect();
     // tidy: allow(hash-iter) — membership tests only; candidate edges are
@@ -353,8 +415,10 @@ pub fn churn_trace_from(
     // Separate stream from the builder's so trace churn is independent of
     // the generator's internal sampling.
     let mut rng = StdRng::seed_from_u64(seed ^ 0xc0ff_ee00_c0ff_ee00);
-    for _ in 0..churn_commits {
-        assert!(edges.len() >= churn, "graph too small for the requested churn");
+    for commit in 2..churn_commits + 2 {
+        if edges.len() < churn {
+            return Err(ChurnTraceError::TooFewEdges { commit, edges: edges.len(), churn });
+        }
         for _ in 0..churn {
             let at = rng.gen_range(0..edges.len());
             let (u, v) = edges.swap_remove(at);
@@ -405,7 +469,10 @@ pub fn churn_trace_from(
                     // free some by deleting one more random edge — its
                     // endpoints join the pool and their pair is now a
                     // candidate. The commit's net churn grows accordingly.
-                    assert!(!edges.is_empty(), "graph too sparse for the requested churn");
+                    // `edges` is non-empty here: with no edges every
+                    // vertex has degree 0, so the pool lacks a free pair
+                    // only when n < 2 or the cap is 0, where no edge can
+                    // exist and the churn check above already returned.
                     let at = rng.gen_range(0..edges.len());
                     let (u, v) = edges.swap_remove(at);
                     exists.remove(&(u, v));
@@ -442,7 +509,7 @@ pub fn churn_trace_from(
         }
         ops.push(TraceOp::Commit);
     }
-    Trace { n0: n, ops }
+    Ok(Trace { n0: n, ops })
 }
 
 #[cfg(test)]
@@ -635,5 +702,20 @@ mod tests {
         assert_ne!(churn_trace(40, 4, 3, 5, 8), t);
         // The explicit-base variant is the same machine.
         assert_eq!(churn_trace_from(&base, 4, 3, 5, 7), t);
+    }
+
+    #[test]
+    fn churn_trace_errors_instead_of_panicking() {
+        // Commit 2 deletes the whole 5-cycle; its inserts run out of
+        // capacity and the fallback deletes one more edge, so commit 3
+        // finds 4 edges for a churn of 5.
+        let base = generators::random_bounded_degree(5, 2, 1);
+        let err = try_churn_trace_from(&base, 2, 3, 5, 1).unwrap_err();
+        assert_eq!(err, ChurnTraceError::TooFewEdges { commit: 3, edges: 4, churn: 5 });
+        let over = try_churn_trace_from(&base, 1, 0, 0, 1).unwrap_err();
+        assert_eq!(
+            over,
+            ChurnTraceError::DegreeCap { max_degree: base.max_degree(), delta_cap: 1 }
+        );
     }
 }

@@ -6,7 +6,7 @@
 //! streams trace operations in; a sharded worker pool applies them as
 //! batched commits through the object-safe
 //! [`RegionRecolor`](deco_stream::RegionRecolor) facade, and every commit
-//! publishes an epoch-stamped immutable snapshot readers grab lock-free.
+//! publishes an epoch-stamped immutable snapshot that readers share.
 //! This is the serving shape the streaming layer was built toward — the
 //! paper's machinery as a long-lived, always-legal coloring service for a
 //! fleet of mutating graphs (TDMA cells, job-shop floors), not a
@@ -22,7 +22,7 @@
 //! serve.submit(a, TraceOp::Insert(1, 2)).unwrap();
 //! serve.commit(a).unwrap();
 //! serve.drain();
-//! let snap = serve.snapshot(a).unwrap(); // lock-free epoch-stamped read
+//! let snap = serve.snapshot(a).unwrap(); // epoch-stamped, shared by Arc
 //! assert_eq!((snap.epoch, snap.m), (1, 2));
 //! assert!(snap.coloring.is_proper(&snap.graph));
 //! serve.shutdown();
@@ -41,15 +41,13 @@
 //! # Module map
 //!
 //! * [`service`](Serve) — the worker pool, admission and flow control;
-//! * [`tenant`](TenantSpec) — specs, snapshots, fingerprints;
-//! * [`snapshot`] — the lock-free [`Swap`](snapshot::Swap) publication
-//!   cell (the crate's only unsafe code, documented and stress-tested).
+//! * [`tenant`](TenantSpec) — specs, snapshots (one mutex-guarded `Arc`
+//!   per tenant) and fingerprints.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod service;
-pub mod snapshot;
 mod tenant;
 
 pub use service::{Serve, ServeConfig, ServeError, TenantId};

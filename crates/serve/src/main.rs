@@ -14,7 +14,7 @@
 //! ```
 
 use deco_graph::generators::random_bounded_degree;
-use deco_graph::trace::{churn_trace_from, Trace};
+use deco_graph::trace::{try_churn_trace_from, Trace};
 use deco_serve::{EngineKind, Serve, ServeConfig, TenantSpec};
 use std::process::ExitCode;
 
@@ -86,7 +86,7 @@ fn parse(args: &[String]) -> Option<Args> {
 
 /// Each tenant's seeded churn trace: exactly `churn_trace(n, cap, commits,
 /// n / 12 + 1, seed ^ tenant)`, or an error where that would panic (a cap
-/// not below `n`, or more churn than the tenant's base graph has edges).
+/// not below `n`, or a churn the tenant's graph cannot supply).
 fn fleet_traces(args: &Args) -> Result<Vec<Trace>, String> {
     if args.cap >= args.n {
         return Err(format!("--cap {} must be below --n {}", args.cap, args.n));
@@ -96,10 +96,8 @@ fn fleet_traces(args: &Args) -> Result<Vec<Trace>, String> {
         .map(|i| {
             let seed = args.seed ^ i as u64;
             let base = random_bounded_degree(args.n, args.cap, seed);
-            if args.commits > 0 && churn > base.m() {
-                return Err(format!("tenant {i}: churn {churn} exceeds its {} edges", base.m()));
-            }
-            Ok(churn_trace_from(&base, args.cap, args.commits, churn, seed))
+            try_churn_trace_from(&base, args.cap, args.commits, churn, seed)
+                .map_err(|e| format!("tenant {i}: {e}"))
         })
         .collect()
 }

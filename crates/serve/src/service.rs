@@ -381,7 +381,7 @@ impl Shared {
             }
         }
         exec.reports.push(report);
-        tenant.snap.store(Arc::new(TenantSnapshot::capture(&*exec.engine)));
+        tenant.publish(TenantSnapshot::capture(&*exec.engine));
     }
 
     /// The wake version: bumped by every enqueue.
@@ -597,14 +597,15 @@ impl Serve {
         self.push(id, TenantMsg::Compact, false)
     }
 
-    /// The tenant's current published snapshot — lock-free, safe to call
-    /// at any rate from any thread (see [`crate::snapshot::Swap`]).
+    /// The tenant's current published snapshot, safe to call at any rate
+    /// from any thread: it clones an `Arc` under a lock that a commit
+    /// holds only to swap in its successor, never while it runs.
     ///
     /// # Errors
     ///
     /// [`ServeError::UnknownTenant`].
     pub fn snapshot(&self, id: TenantId) -> Result<Arc<TenantSnapshot>, ServeError> {
-        Ok(self.shared.tenant(id)?.snap.load())
+        Ok(self.shared.tenant(id)?.snapshot())
     }
 
     /// The tenant's commit-report transcript so far (clones under the
@@ -720,7 +721,7 @@ impl Serve {
             let exec = tenant.exec.lock().expect("tenant executor poisoned");
             f.word(reports_fingerprint(&exec.reports));
             drop(exec);
-            f.word(tenant.snap.load().fingerprint());
+            f.word(tenant.snapshot().fingerprint());
         }
         f.digest()
     }

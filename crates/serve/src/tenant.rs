@@ -1,7 +1,6 @@
 //! Tenants: registration specs, published snapshots, and the per-tenant
 //! runtime state the worker pool drives.
 
-use crate::snapshot::Swap;
 use deco_core::edge::legal::{edge_log_depth, MessageMode};
 use deco_core::params::LegalParams;
 use deco_graph::coloring::EdgeColoring;
@@ -72,22 +71,10 @@ impl TenantSpec {
         self.config = config;
         self
     }
-
-    /// Replaces the contraction parameters.
-    pub fn with_params(mut self, params: LegalParams) -> TenantSpec {
-        self.params = params;
-        self
-    }
-
-    /// Picks the message model.
-    pub fn with_mode(mut self, mode: MessageMode) -> TenantSpec {
-        self.mode = mode;
-        self
-    }
 }
 
 /// An immutable, epoch-stamped snapshot of a tenant's committed state,
-/// published lock-free after every successful commit (see
+/// published after every successful commit (see
 /// [`crate::Serve::snapshot`]). Epoch 0 is the registration snapshot
 /// (edgeless, no commits).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -220,8 +207,10 @@ pub(crate) struct Tenant {
     /// wait here for space, and only a full inbox makes them wait.
     pub(crate) space: Condvar,
     pub(crate) exec: Mutex<Exec>,
-    /// The published snapshot cell (lock-free readers).
-    pub(crate) snap: Swap<TenantSnapshot>,
+    /// The published snapshot, read through [`Tenant::snapshot`] and
+    /// replaced through [`Tenant::publish`]. A retired snapshot is freed
+    /// when its last reader drops it.
+    snap: Mutex<Arc<TenantSnapshot>>,
     /// Total committed `node_rounds` — the admission currency, readable
     /// without any lock.
     pub(crate) cost: AtomicU64,
@@ -248,10 +237,27 @@ impl Tenant {
                 cost_since_compaction: 0,
                 errors: Vec::new(),
             }),
-            snap: Swap::new(Arc::new(snapshot)),
+            snap: Mutex::new(Arc::new(snapshot)),
             cost: AtomicU64::new(0),
             quarantined: AtomicBool::new(false),
         }
+    }
+
+    /// The published snapshot.
+    pub(crate) fn snapshot(&self) -> Arc<TenantSnapshot> {
+        // INVARIANT: a poisoned lock means another thread panicked while holding it; propagating that panic is the intended failure mode.
+        Arc::clone(&self.snap.lock().expect("tenant snapshot poisoned"))
+    }
+
+    /// Publishes `snapshot`. The retired one is dropped after the lock is
+    /// released, so no reader waits while a large snapshot is freed.
+    pub(crate) fn publish(&self, snapshot: TenantSnapshot) {
+        let fresh = Arc::new(snapshot);
+        // INVARIANT: a poisoned lock means another thread panicked while holding it; propagating that panic is the intended failure mode.
+        let mut cell = self.snap.lock().expect("tenant snapshot poisoned");
+        let retired = std::mem::replace(&mut *cell, fresh);
+        drop(cell);
+        drop(retired);
     }
 }
 

@@ -19,7 +19,7 @@
 
 use deco_core::edge::legal::{edge_log_depth, MessageMode};
 use deco_graph::generators::random_bounded_degree;
-use deco_graph::trace::{churn_trace_from, parse_trace, to_text, Trace};
+use deco_graph::trace::{parse_trace, to_text, try_churn_trace_from, Trace};
 use deco_probe::JsonlProbe;
 use deco_stream::{replay_trace_on, RecolorConfig, Recolorer, RegionRecolor, SegRecolorer};
 use std::process::ExitCode;
@@ -44,7 +44,7 @@ fn main() -> ExitCode {
 }
 
 /// Parses `--gen`'s five numbers and generates the trace, rejecting the
-/// arguments the generator would panic on. The trace is exactly
+/// arguments the generators cannot serve. The trace is exactly
 /// `churn_trace(n, delta_cap, commits, churn, seed)`.
 fn gen_trace(args: &[String]) -> Result<Trace, String> {
     let nums: Vec<u64> = args.iter().take(5).filter_map(|a| a.parse().ok()).collect();
@@ -59,10 +59,7 @@ fn gen_trace(args: &[String]) -> Result<Trace, String> {
         return Err(format!("delta_cap = {delta_cap} must be below n = {n}"));
     }
     let base = random_bounded_degree(n, delta_cap, seed);
-    if commits > 0 && churn > base.m() {
-        return Err(format!("churn = {churn} exceeds the base graph's {} edges", base.m()));
-    }
-    Ok(churn_trace_from(&base, delta_cap, commits, churn, seed))
+    try_churn_trace_from(&base, delta_cap, commits, churn, seed).map_err(|e| e.to_string())
 }
 
 fn generate(args: &[String]) -> ExitCode {

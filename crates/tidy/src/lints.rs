@@ -27,16 +27,10 @@ const DETERMINISTIC_CRATES: &[&str] = &["graph", "core", "local", "stream"];
 
 /// Modules allowed to contain `unsafe`, with the audit rationale. Every
 /// site inside them still needs an adjacent `// SAFETY:` comment.
-const UNSAFE_MODULES: &[(&str, &str)] = &[
-    (
-        "crates/serve/src/snapshot.rs",
-        "the lock-free Swap snapshot cell (AtomicPtr + manual Arc counts), stress-tested",
-    ),
-    (
-        "tests/zero_alloc.rs",
-        "counting global allocator backing the zero-allocation steady-state pin",
-    ),
-];
+const UNSAFE_MODULES: &[(&str, &str)] = &[(
+    "tests/zero_alloc.rs",
+    "counting global allocator backing the zero-allocation steady-state pin",
+)];
 
 /// Path prefixes quarantined for wall-clock reads: the bench harness is
 /// *defined* to measure wall time (and the gate treats wall as

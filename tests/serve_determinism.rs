@@ -129,29 +129,37 @@ fn serve_transcripts_match_direct_replay() {
 
 #[test]
 fn snapshot_reads_race_commits_safely() {
-    // Hammer lock-free snapshot loads from reader threads while the fleet
-    // commits: every loaded snapshot must be internally consistent (a
-    // proper coloring of its own graph) and epochs must only grow.
+    // Reader threads poll one tenant's snapshot while it makes 300 small
+    // commits. Epochs must only grow, and every epoch a reader sees must
+    // be internally consistent (a proper coloring of its own graph). Once
+    // every reader has dropped its copies, only the current snapshot may
+    // be alive: a retired one is freed by its last reader.
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Weak};
 
-    let trace = churn_trace(60, 4, 6, 6, 0xace5);
+    let trace = churn_trace(60, 4, 299, 2, 0xace5);
     let serve = Arc::new(Serve::start(ServeConfig::default().with_shards(2)));
     let id = serve.register(TenantSpec::new("watched", trace.n0)).unwrap();
     let stop = Arc::new(AtomicBool::new(false));
-    let readers: Vec<_> = (0..3)
+    let readers: Vec<_> = (0..4)
         .map(|_| {
             let serve = Arc::clone(&serve);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
+                // A weak handle on every epoch this reader saw.
+                let mut seen = Vec::new();
                 let mut last_epoch = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     let snap = serve.snapshot(id).unwrap();
                     assert!(snap.epoch >= last_epoch, "epoch went backwards");
+                    if seen.is_empty() || snap.epoch > last_epoch {
+                        assert_eq!(snap.coloring.colors().len(), snap.m, "torn snapshot");
+                        assert!(snap.coloring.is_proper(&snap.graph), "torn snapshot");
+                        seen.push(Arc::downgrade(&snap));
+                    }
                     last_epoch = snap.epoch;
-                    assert_eq!(snap.coloring.colors().len(), snap.m, "torn snapshot");
-                    assert!(snap.coloring.is_proper(&snap.graph), "torn snapshot");
                 }
+                seen
             })
         })
         .collect();
@@ -163,8 +171,13 @@ fn snapshot_reads_race_commits_safely() {
     }
     serve.drain();
     stop.store(true, Ordering::Relaxed);
-    for r in readers {
-        r.join().expect("reader panicked");
-    }
-    assert_eq!(serve.snapshot(id).unwrap().epoch as usize, trace.commit_count());
+    let seen: Vec<_> =
+        readers.into_iter().flat_map(|r| r.join().expect("reader panicked")).collect();
+    let epoch = serve.snapshot(id).unwrap().epoch;
+    assert_eq!((epoch, trace.commit_count()), (300, 300));
+    let mut alive: Vec<u64> =
+        seen.iter().filter_map(Weak::upgrade).map(|s| s.epoch).filter(|&e| e != epoch).collect();
+    alive.sort_unstable();
+    alive.dedup();
+    assert!(alive.is_empty(), "retired epochs outlived their readers: {alive:?}");
 }

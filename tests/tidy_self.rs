@@ -112,10 +112,10 @@ fn unsafe_requires_allowlisted_module_and_safety_comment() {
 
     // Inside an allowlisted module, an adjacent SAFETY comment is enough.
     let audited = "fn f(p: *const u8) -> u8 {\n    // SAFETY: caller guarantees p is valid for reads.\n    unsafe { *p }\n}\n";
-    assert_clean("crates/serve/src/snapshot.rs", audited);
+    assert_clean("tests/zero_alloc.rs", audited);
 
     // …and without the comment it still fires, even there.
-    assert_eq!(fired("crates/serve/src/snapshot.rs", body), ["unsafe-audit"]);
+    assert_eq!(fired("tests/zero_alloc.rs", body), ["unsafe-audit"]);
 }
 
 // --------------------------------------------------------- deprecated-expiry

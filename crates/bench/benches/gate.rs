@@ -9,14 +9,15 @@
 //!
 //! * `sim` — the simulator on five workloads: the slot engine, its threaded
 //!   runner and the naive reference agree on FloodMax and Legal-Color-shaped
-//!   gossip; adaptive, scan and naive delivery agree on the Legal-Color and
-//!   Theorem 5.5 pipelines; an epoch wave records its per-round delivery
-//!   choices; FloodMax agrees at thread budgets 1, 2, 4 and 8.
+//!   gossip; the slot and naive engines agree on the Legal-Color and
+//!   Theorem 5.5 pipelines; an epoch wave records the slot engine's
+//!   per-round delivery choices; FloodMax agrees at thread budgets 1, 2, 4
+//!   and 8.
 //! * `churn` — the n = 50k, Δ ≤ 8, 1%-churn trace. One legacy replay is
 //!   compared per commit against the from-scratch pipeline (incremental
 //!   must also win on wall time), the segmented store, a split
 //!   deletions-then-insertions replay with its two graph-commit paths, and
-//!   a nine-leg threads × delivery probe matrix with one event digest.
+//!   a three-leg thread-budget probe matrix with one event digest.
 //! * `repair` — the repair phase on a second churn trace with early
 //!   halting on and off: same colors and messages, ≥ 1.5× fewer stepped
 //!   node-rounds.
@@ -42,7 +43,7 @@ use deco_core::params::LegalParams;
 use deco_graph::line_graph::line_graph;
 use deco_graph::trace::{churn_trace, churn_trace_from, power_law_churn_trace, Trace, TraceOp};
 use deco_graph::{generators, EdgeIdx, Graph, MutableGraph, SegmentedGraph, Vertex};
-use deco_local::{Action, Delivery, DeliveryChoice, Engine, Network, NodeCtx, Protocol, RunStats};
+use deco_local::{Action, DeliveryChoice, Engine, Network, NodeCtx, Protocol, RunStats};
 use deco_probe::json::{array, run_length, Obj, Value};
 use deco_probe::{Event, Fnv, RecordingProbe};
 use deco_serve::{reports_fingerprint, EngineKind, Serve, ServeConfig, TenantSpec};
@@ -264,7 +265,7 @@ impl Protocol for LegalShaped {
 /// The Algorithm 1 while-loop traffic shape: vertices carry a class in
 /// `0..classes`; each round only the matching class broadcasts (everyone
 /// else idles), for `epochs` sweeps — a dense start followed by a long
-/// sparse tail, the adaptive delivery's target regime.
+/// sparse tail, the push-list delivery's target regime.
 struct EpochWave {
     classes: u64,
     epochs: usize,
@@ -328,34 +329,29 @@ where
     workload_row(name, g, slot.stats)
 }
 
-/// Runs a pipeline driver under adaptive delivery, forced-scan delivery and
-/// the naive engine, asserts the three agree bit for bit, and returns the
-/// adaptive outcome.
+/// Runs a pipeline driver on the slot engine and on the naive engine,
+/// asserts the two agree bit for bit, and returns the slot outcome.
 fn across_engines<T, D>(name: &str, g: &Graph, driver: D) -> (T, RunStats)
 where
     T: PartialEq + Debug,
     D: Fn(&Network<'_>) -> (T, RunStats),
 {
-    let adaptive = driver(&Network::new(g).with_delivery(Delivery::Adaptive));
-    let scan = driver(&Network::new(g).with_delivery(Delivery::Scan));
-    assert_eq!(scan, adaptive, "{name}: scan diverged");
+    let slot = driver(&Network::new(g));
     let naive = driver(&Network::new(g).with_engine(Engine::Naive));
-    assert_eq!(naive, adaptive, "{name}: naive diverged");
-    adaptive
+    assert_eq!(naive, slot, "{name}: naive diverged");
+    slot
 }
 
-/// The epoch wave under adaptive delivery, traced per round, checked
-/// against forced-scan delivery.
+/// The epoch wave on the slot engine, traced per round, checked against
+/// the naive engine.
 fn epoch_wave_row(g: &Graph) -> Value {
     let (classes, epochs) = (16, 3);
     let mk = |_: &NodeCtx<'_>| EpochWave { classes, epochs, acc: 0 };
-    // Adaptive delivery is pinned: the per-round delivery trace is gated,
-    // so it must not follow a DECO_DELIVERY override.
-    let run = Network::new(g).with_delivery(Delivery::Adaptive).run(mk);
+    let run = Network::new(g).run(mk);
     let trace = &run.trace;
-    let scan = Network::new(g).with_delivery(Delivery::Scan).run(mk);
-    assert_eq!(run.outputs, scan.outputs, "epoch wave: delivery modes diverged");
-    assert_eq!(run.stats, scan.stats, "epoch wave: delivery stats diverged");
+    let naive = Network::new(g).with_engine(Engine::Naive).run(mk);
+    assert_eq!(run.outputs, naive.outputs, "epoch wave: engines diverged");
+    assert_eq!(run.stats, naive.stats, "epoch wave: engine stats diverged");
     let labels = trace.iter().map(|t| match t.delivery {
         DeliveryChoice::Scan => "scan",
         DeliveryChoice::Push => "push",
@@ -445,7 +441,7 @@ fn sim() -> Value {
     let g = generators::random_bounded_degree(50_000, 8, 0x9125);
     rows.push(epoch_wave_row(&g));
     rows.push(thread_budget_row(&g));
-    println!("   {} workloads bit-identical across engines, deliveries and threads", rows.len());
+    println!("   {} workloads bit-identical across engines and threads", rows.len());
     Obj::new().field("workloads", rows).build()
 }
 
@@ -478,48 +474,38 @@ fn split_by_net_effect(batch: &[TraceOp]) -> (Vec<TraceOp>, Vec<TraceOp>) {
     (dels, inss)
 }
 
-/// The nine-leg threads × delivery matrix: the trace replayed under a
-/// recording probe per leg, with threads and delivery pinned through the
-/// engine config. Every leg must reproduce `reports` (the null-probe
-/// replay's) and one event digest; returns the digest and the t1/scan
-/// leg's events.
+/// The probe matrix: the trace replayed under a recording probe at thread
+/// budgets 1, 2 and 8, pinned through the engine config. Every leg must
+/// reproduce `reports` (the null-probe replay's) and one event digest;
+/// returns the digest and the one-thread leg's events.
 fn probe_matrix(trace: &Trace, reports: &[CommitReport]) -> (u64, Vec<Event>) {
-    let deliveries =
-        [("scan", Delivery::Scan), ("push", Delivery::Push), ("adaptive", Delivery::Adaptive)];
     let mut first: Option<(u64, Vec<Event>)> = None;
     for threads in [1, 2, 8] {
-        for (label, delivery) in deliveries {
-            let leg = format!("t{threads}/{label}");
-            let probe = Arc::new(RecordingProbe::new());
-            let cfg = RecolorConfig::default()
-                .with_threads(threads)
-                .with_delivery(delivery)
-                .with_probe(probe.clone());
-            let mut engine =
-                Recolorer::new_with(trace.n0, edge_log_depth(1), MessageMode::Long, cfg)
-                    .expect("preset params");
-            let run = replay_trace_on(&mut engine, trace).expect("valid trace");
-            assert_eq!(
-                run.reports, reports,
-                "leg {leg}: CommitReports diverged from the null probe"
-            );
-            let digest = probe.digest();
-            match &first {
-                Some((d, _)) => assert_eq!(digest, *d, "leg {leg} diverged from t1/scan"),
-                None => first = Some((digest, probe.take())),
-            }
+        let probe = Arc::new(RecordingProbe::new());
+        let cfg = RecolorConfig::default().with_threads(threads).with_probe(probe.clone());
+        let mut engine = Recolorer::new_with(trace.n0, edge_log_depth(1), MessageMode::Long, cfg)
+            .expect("preset params");
+        let run = replay_trace_on(&mut engine, trace).expect("valid trace");
+        assert_eq!(
+            run.reports, reports,
+            "threads={threads}: CommitReports diverged from the null probe"
+        );
+        let digest = probe.digest();
+        match &first {
+            Some((d, _)) => assert_eq!(digest, *d, "threads={threads} diverged from threads=1"),
+            None => first = Some((digest, probe.take())),
         }
     }
-    first.expect("nine legs ran")
+    first.expect("three legs ran")
 }
 
 fn probe_block(trace: &Trace, reports: &[CommitReport]) -> Value {
     let (digest, events) = probe_matrix(trace, reports);
     let count = |f: fn(&Event) -> bool| events.iter().filter(|e| f(e)).count();
     let totals = reports.iter().fold(RunStats::zero(), |acc, r| acc + r.stats);
-    println!("   9 probe legs, one digest {digest:#018x}");
+    println!("   3 probe legs, one digest {digest:#018x}");
     Obj::new()
-        .field("matrix_legs", 9usize)
+        .field("matrix_legs", 3usize)
         .field("event_digest", format!("{digest:016x}"))
         .field("deterministic_events", count(Event::is_deterministic))
         .field("round_samples", count(|e| matches!(e, Event::Round { .. })))

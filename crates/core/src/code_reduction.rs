@@ -20,7 +20,8 @@ use crate::math::{digits_base, poly_eval, CodeStep};
 use crate::msg::FieldMsg;
 use crate::pipeline::Pipeline;
 use deco_graph::Vertex;
-use deco_local::{Action, Network, NodeCtx, Protocol, RunStats, SharedConfig};
+use deco_local::{Action, Network, NodeCtx, Protocol, RunStats};
+use std::sync::Arc;
 
 /// Per-vertex state of the code-reduction protocol.
 #[derive(Debug)]
@@ -28,7 +29,7 @@ pub struct CodeReduction {
     group: u64,
     group_domain: u64,
     color: u64,
-    steps: SharedConfig<Vec<CodeStep>>,
+    steps: Arc<Vec<CodeStep>>,
     applied: usize,
 }
 
@@ -126,13 +127,13 @@ pub fn run_code_reduction(
     if steps.is_empty() {
         return (init.to_vec(), RunStats::zero());
     }
-    let steps = SharedConfig::new(steps);
+    let steps = Arc::new(steps);
     let mut pl = Pipeline::new(net);
     let outputs = pl.run("code-reduction", |ctx| CodeReduction {
         group: groups[ctx.vertex],
         group_domain,
         color: init[ctx.vertex],
-        steps: SharedConfig::clone(&steps),
+        steps: Arc::clone(&steps),
         applied: 0,
     });
     (outputs, pl.into_stats())
@@ -150,7 +151,7 @@ pub struct OrientedCodeReduction {
     rank: u64,
     rank_domain: u64,
     color: u64,
-    steps: SharedConfig<Vec<CodeStep>>,
+    steps: Arc<Vec<CodeStep>>,
     applied: usize,
 }
 
@@ -188,7 +189,7 @@ impl Protocol for OrientedCodeReduction {
             group: 0,
             group_domain: 1,
             color: self.color,
-            steps: SharedConfig::new(vec![step]),
+            steps: Arc::new(vec![step]),
             applied: 0,
         };
         scratch.apply_step(&out_colors);
@@ -221,13 +222,13 @@ pub fn run_oriented_code_reduction(
     if steps.is_empty() {
         return (init.to_vec(), RunStats::zero());
     }
-    let steps = SharedConfig::new(steps);
+    let steps = Arc::new(steps);
     let mut pl = Pipeline::new(net);
     let outputs = pl.run("oriented-code-reduction", |ctx| OrientedCodeReduction {
         rank: ranks[ctx.vertex],
         rank_domain: rank_domain.max(1),
         color: init[ctx.vertex],
-        steps: SharedConfig::clone(&steps),
+        steps: Arc::clone(&steps),
         applied: 0,
     });
     (outputs, pl.into_stats())

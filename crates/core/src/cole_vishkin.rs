@@ -66,7 +66,8 @@
 use crate::msg::FieldMsg;
 use crate::pipeline::Pipeline;
 use deco_graph::{Graph, Vertex};
-use deco_local::{bits_for_range, Action, Network, NodeCtx, Protocol, RunStats, SharedConfig};
+use deco_local::{bits_for_range, Action, Network, NodeCtx, Protocol, RunStats};
+use std::sync::Arc;
 
 /// The bit-reduction schedule: the palette after each round, ending at 6.
 fn cv_palettes(n: u64) -> Vec<u64> {
@@ -278,7 +279,7 @@ impl SlotTables {
 /// One node's protocol state: its slots, in forest-id order.
 #[derive(Debug)]
 struct CvColor {
-    tables: SharedConfig<SlotTables>,
+    tables: Arc<SlotTables>,
     /// This node's first slot in `tables.slots`.
     slot_at: usize,
     /// This node's first entry in `tables.links`.
@@ -400,7 +401,7 @@ pub fn cv_three_color(
     let g = net.graph();
     assert_eq!(forest_of_edge.len(), g.m(), "one forest assignment per edge");
     debug_assert!(net.transport().is_perfect(), "silent roots need a perfect transport");
-    let tables = SharedConfig::new(SlotTables::new(g, forest_of_edge));
+    let tables = Arc::new(SlotTables::new(g, forest_of_edge));
     let early_halt = net.early_halt();
     let mut pl = Pipeline::new(net);
     let outputs = pl.run("cole-vishkin", |ctx| {
@@ -430,7 +431,7 @@ pub fn cv_three_color(
             .filter(|&&link| link & 1 == 1 && state[(link >> 1) as usize].kind != Kind::Root)
             .count();
         CvColor {
-            tables: SharedConfig::clone(&tables),
+            tables: Arc::clone(&tables),
             slot_at,
             link_at,
             state,
@@ -451,8 +452,9 @@ mod oracle {
     use crate::msg::FieldMsg;
     use crate::pipeline::Pipeline;
     use deco_graph::{Graph, Vertex};
-    use deco_local::{Action, Network, NodeCtx, Protocol, RunStats, SharedConfig};
+    use deco_local::{Action, Network, NodeCtx, Protocol, RunStats};
     use std::collections::BTreeMap;
+    use std::sync::Arc;
 
     #[derive(Debug)]
     struct Slot {
@@ -481,7 +483,7 @@ mod oracle {
         /// binary search (children are distinct across forests — each parent
         /// edge is a distinct graph edge).
         send_order: Vec<(Vertex, u32)>,
-        palettes: SharedConfig<Vec<u64>>,
+        palettes: Arc<Vec<u64>>,
         n: u64,
     }
 
@@ -598,7 +600,7 @@ mod oracle {
         let g = net.graph();
         assert_eq!(forest_of_edge.len(), g.m(), "one forest assignment per edge");
         let inits = slot_inits(g, forest_of_edge);
-        let palettes = SharedConfig::new(cv_palettes(g.n() as u64));
+        let palettes = Arc::new(cv_palettes(g.n() as u64));
         let mut pl = Pipeline::new(net);
         let outputs = pl.run("cole-vishkin", |ctx| {
             let (slots_init, parent_fid) = &inits[ctx.vertex];
@@ -627,7 +629,7 @@ mod oracle {
                 slots,
                 parent_fid: parent_fid.clone(),
                 send_order,
-                palettes: SharedConfig::clone(&palettes),
+                palettes: Arc::clone(&palettes),
                 n: g.n() as u64,
             }
         });

@@ -11,11 +11,10 @@
 //!   kept per phase in a [`PhaseTrace`] for diagnostics.
 //! * **Threaded execution** — every phase executes through
 //!   [`Network::run`], so all drivers inherit deterministic parallel
-//!   stepping (and the thread budget, engine and delivery selection of the
+//!   stepping (and the thread budget and engine selection of the
 //!   underlying network: `Engine::Naive` still routes to the reference
 //!   engine for differential benches). Protocol state must be `Send`:
-//!   shared read-only tables are held through
-//!   [`SharedConfig`](deco_local::SharedConfig), never `Rc`.
+//!   shared read-only tables are held through an `Arc`, never `Rc`.
 //! * **Verification hooks** — [`Pipeline::verify`] runs a boolean-output
 //!   protocol (e.g. the one-round checkers in [`crate::verify`]) as a phase
 //!   and reports whether every node accepted, charging its rounds to the

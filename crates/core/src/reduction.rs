@@ -22,11 +22,12 @@
 use crate::msg::FieldMsg;
 use crate::pipeline::Pipeline;
 use deco_graph::Vertex;
-use deco_local::{Action, Network, NodeCtx, Protocol, RunStats, SharedConfig};
+use deco_local::{Action, Network, NodeCtx, Protocol, RunStats};
 // tidy: allow(hash-iter) — nbr_colors is keyed per neighbor; its only
 // iterations are commutative folds (set-union into a bool mask, uniform
 // rebase), so hash order cannot reach colors or counters.
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One palette-halving phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,7 +72,7 @@ struct KwReduce {
     group_domain: u64,
     color: u64,
     lambda: u64,
-    phases: SharedConfig<Vec<ReductionPhase>>,
+    phases: Arc<Vec<ReductionPhase>>,
     phase_idx: usize,
     /// Round at which the current phase started (its step 0).
     phase_start: usize,
@@ -186,14 +187,14 @@ pub fn reduce_colors_in_groups(
     if phases.is_empty() {
         return (init.to_vec(), RunStats::zero());
     }
-    let phases = SharedConfig::new(phases);
+    let phases = Arc::new(phases);
     let mut pl = Pipeline::new(net);
     let outputs = pl.run("kuhn-wattenhofer-reduce", |ctx| KwReduce {
         group: groups[ctx.vertex],
         group_domain,
         color: init[ctx.vertex],
         lambda,
-        phases: SharedConfig::clone(&phases),
+        phases: Arc::clone(&phases),
         phase_idx: 0,
         phase_start: 0,
         // tidy: allow(hash-iter) — same order-insensitive map as above.

@@ -100,7 +100,8 @@ pub fn to_edge_list(g: &Graph) -> String {
 ///
 /// # Errors
 ///
-/// Returns [`ParseGraphError`] on malformed input.
+/// Returns [`ParseGraphError`] on malformed input, including a token past
+/// a line's fields.
 pub fn parse_edge_list(text: &str) -> Result<Graph, ParseGraphError> {
     let mut header: Option<(usize, usize)> = None;
     let mut edges: Vec<(Vertex, Vertex)> = Vec::new();
@@ -141,6 +142,10 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, ParseGraphError> {
                     what: format!("unknown tag '{other}'"),
                 });
             }
+        }
+        if let Some(extra) = parts.next() {
+            let what = format!("unexpected trailing token '{extra}'");
+            return Err(ParseGraphError::BadLine { line: line_no, what });
         }
     }
     let (n, m) = header.ok_or(ParseGraphError::BadHeader)?;
@@ -206,6 +211,13 @@ mod tests {
             Err(ParseGraphError::BadLine { line: 2, .. })
         ));
         assert!(matches!(parse_edge_list("p 2 1\nq 0 1\n"), Err(ParseGraphError::BadLine { .. })));
+        // A token past a line's fields is rejected, not dropped.
+        for (text, line) in
+            [("p 2 1 5\ne 0 1\n", 1), ("p 2 1\ne 0 1 2\n", 2), ("p 2 1\ne 0 1\ni 0 9 9\n", 3)]
+        {
+            let e = parse_edge_list(text).unwrap_err().to_string();
+            assert!(e.starts_with(&format!("line {line}: unexpected trailing token")), "{e}");
+        }
         assert!(matches!(
             parse_edge_list("p 2 1\ne 0 2\n"),
             Err(ParseGraphError::Graph(GraphError::VertexOutOfRange { .. }))

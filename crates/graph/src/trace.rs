@@ -232,11 +232,12 @@ pub fn to_text(trace: &Trace) -> String {
 
 /// Parses the trace format described in the module docs.
 ///
-/// Structural validity (tags and integer fields) plus one size bound: the
-/// `t` count plus all `v` counts so far may not exceed `u32::MAX`, since
-/// both graph stores address vertices as `u32`. Range and existence checks
-/// belong to the replaying [`MutableGraph`](crate::MutableGraph), which
-/// knows the evolving topology.
+/// Structural validity (tags, integer fields, no tokens past a line's
+/// fields) plus one size bound: the `t` count plus all `v` counts so far
+/// may not exceed `u32::MAX`, since both graph stores address vertices as
+/// `u32`. Range and existence checks belong to the replaying
+/// [`MutableGraph`](crate::MutableGraph), which knows the evolving
+/// topology.
 ///
 /// # Errors
 ///
@@ -286,7 +287,6 @@ pub fn parse_trace(text: &str) -> Result<Trace, ParseTraceError> {
                     return Err(ParseTraceError::BadHeader);
                 }
                 n0 = Some(grow(next_num("vertex count")?)?);
-                continue;
             }
             "+" => ops.push(TraceOp::Insert(
                 next_num("endpoint")? as usize,
@@ -308,6 +308,10 @@ pub fn parse_trace(text: &str) -> Result<Trace, ParseTraceError> {
                     what: format!("unknown tag '{other}'"),
                 });
             }
+        }
+        if let Some(extra) = parts.next() {
+            let what = format!("unexpected trailing token '{extra}'");
+            return Err(ParseTraceError::BadLine { line: line_no, what });
         }
         if n0.is_none() {
             return Err(ParseTraceError::BadHeader);
@@ -561,6 +565,13 @@ mod tests {
             parse_trace("t 2\ne 0 1\n"),
             Err(ParseTraceError::BadLine { line: 2, .. })
         ));
+        // A token past a line's fields is rejected, not dropped.
+        for (text, line) in
+            [("t 3 9\n", 1), ("t 3\n+ 0 1 2\ncommit\n", 2), ("t 3\ncommit please\n", 2)]
+        {
+            let e = parse_trace(text).unwrap_err().to_string();
+            assert!(e.starts_with(&format!("line {line}: unexpected trailing token")), "{e}");
+        }
         // Vertex counts past u32::MAX could never commit.
         for text in ["t 18446744073709551615\n", "t 4294967296\n", "t 4294967295\nv 1\n"] {
             assert!(matches!(parse_trace(text), Err(ParseTraceError::BadLine { .. })), "{text}");

@@ -77,8 +77,8 @@ pub mod spill;
 
 pub use message::{bits_for_range, bits_for_value, Bitset, Message};
 pub use network::{
-    encode_round_trace, Action, Delivery, DeliveryChoice, Engine, Network, NodeCtx, Protocol,
-    RoundLoad, RoundTrace, Run, RunError, SharedConfig,
+    encode_round_trace, Action, DeliveryChoice, Engine, Network, NodeCtx, Protocol, RoundLoad,
+    RoundTrace, Run, RunError,
 };
 pub use stats::{RunStats, StatsDiff};
 pub use transport::{Fate, FaultyTransport, InProcess, Transport};

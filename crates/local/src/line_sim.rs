@@ -184,10 +184,10 @@ mod tests {
 
     /// The Lemma 5.2 host-stat invariants must hold — and the native `L(G)`
     /// run, hence its host translation, must be bit-identical — under every
-    /// engine/delivery/thread selection.
+    /// engine/thread selection.
     #[test]
     fn host_stat_invariants_under_engine_selection() {
-        use crate::network::{Delivery, Engine};
+        use crate::network::Engine;
         let g = generators::random_bounded_degree(200, 8, 31);
         let l = line_graph(&g);
         let reference = Network::new(&l).run(|_| CountNeighbors(0));
@@ -202,8 +202,6 @@ mod tests {
         assert_eq!(host.max_message_bits, native.max_message_bits * congestion);
         let configs = [
             ("naive", Network::new(&l).with_engine(Engine::Naive)),
-            ("scan", Network::new(&l).with_delivery(Delivery::Scan)),
-            ("push", Network::new(&l).with_delivery(Delivery::Push)),
             ("threaded", Network::new(&l).with_threads(4)),
         ];
         for (name, net) in configs {

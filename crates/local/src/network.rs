@@ -27,10 +27,9 @@
 //! receiver-side slot of every message it writes; if the round's sent count
 //! is small relative to the live slot count, the next round sorts that list
 //! once and each receiver reads exactly its occupied slots instead of
-//! sweeping its whole neighborhood. [`Delivery::Adaptive`] (the default)
-//! chooses per round from the previous round's sent count; [`Delivery::Scan`]
-//! and [`Delivery::Push`] pin a mode for differential testing. The choice is
-//! observable in [`Run::trace`] but never changes results.
+//! sweeping its whole neighborhood. The engine chooses per round from the
+//! previous round's sent count; a non-perfect transport always scans. The
+//! choice is observable in [`Run::trace`] but never changes results.
 //!
 //! # Determinism contract
 //!
@@ -136,17 +135,6 @@ impl<M> Action<M> {
         Action::Continue(Vec::new())
     }
 }
-
-/// A shared, immutable configuration table referenced by every node of a
-/// protocol — schedules, palettes, precomputed per-edge specs.
-///
-/// Protocol state must be `Send` so [`Network::run`] can step nodes on
-/// worker threads; per-node handles to a common table are
-/// therefore atomically reference-counted (`Arc`), never `Rc`. The tables
-/// are written once before the run and only read inside protocol callbacks,
-/// so the atomic refcount is touched `n` times at construction and never on
-/// the delivery hot path.
-pub type SharedConfig<T> = std::sync::Arc<T>;
 
 /// A per-node state machine run by [`Network::run`].
 ///
@@ -295,23 +283,9 @@ pub enum Engine {
     Naive,
 }
 
-/// How the slot engine assembles inboxes each round.
-///
-/// All modes are bit-identical in results, stats and profiles; they differ
-/// only in wall-clock. See the module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Delivery {
-    /// Sweep every receiver's O(deg) in-slots (the PR 1 behavior).
-    Scan,
-    /// Always deliver from the sorted push list of last round's writes.
-    Push,
-    /// Choose per round from the previous round's sent count (the default):
-    /// sparse rounds use the push list, dense rounds the slot sweep.
-    #[default]
-    Adaptive,
-}
-
-/// Which delivery path a round actually used (see [`Run::trace`]).
+/// Which delivery path a round used (see [`Run::trace`]): the slot engine
+/// picks the push list after a sparse round and the sweep otherwise. Both
+/// are bit-identical in results, stats and profiles; see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeliveryChoice {
     /// The O(deg)-per-receiver slot sweep.
@@ -346,7 +320,6 @@ pub struct Network<'g> {
     round_cap: usize,
     threads: usize,
     engine: Engine,
-    delivery: Delivery,
     early_halt: bool,
     transport: Arc<dyn Transport>,
     probe: Arc<dyn Probe>,
@@ -401,49 +374,24 @@ fn parse_threads(raw: Option<&str>) -> (usize, Option<String>) {
     }
 }
 
-/// Parses a `DECO_DELIVERY` value; `None` means the variable is unset.
-/// Unrecognized values fall back to [`Delivery::Adaptive`] with a warning.
-fn parse_delivery(raw: Option<&str>) -> (Delivery, Option<String>) {
-    match raw {
-        None | Some("adaptive") => (Delivery::Adaptive, None),
-        Some("scan") => (Delivery::Scan, None),
-        Some("push") => (Delivery::Push, None),
-        Some(other) => (
-            Delivery::Adaptive,
-            Some(format!(
-                "DECO_DELIVERY must be scan|push|adaptive, got {other:?}; using adaptive"
-            )),
-        ),
-    }
-}
-
-/// Reads the `DECO_THREADS` / `DECO_DELIVERY` defaults from the
-/// environment, per call. Historically the parsed pair was cached in a
-/// process-global `OnceLock`, which silently froze whatever the first
-/// `Network` construction saw — an env matrix that flips the variables
-/// between runs in one process was actually re-running the first leg, and
-/// per-tenant overrides could never differ. Constructions are per commit
-/// and the two `var` reads are trivia next to flattening the host graph,
-/// so the cache bought nothing.
+/// Reads the `DECO_THREADS` default thread budget from the environment,
+/// per call. It is not cached: a cache would freeze whatever the first
+/// `Network` construction saw, so an env matrix that flips the variable
+/// between runs in one process would re-run its first leg, and the `var`
+/// read is trivia next to flattening the host graph.
 ///
-/// Malformed values warn **once** per process and fall back to the
-/// defaults: a typo'd matrix leg should run (visibly) rather than abort
+/// A malformed value warns **once** per process and falls back to the
+/// default: a typo'd matrix leg should run (visibly) rather than abort
 /// every `Network` construction in the process, and a warning per commit
 /// would drown the run.
-fn env_defaults() -> (usize, Delivery) {
-    let threads_raw = std::env::var("DECO_THREADS").ok();
-    let (threads, warn_threads) = parse_threads(threads_raw.as_deref());
-    let delivery_raw = std::env::var("DECO_DELIVERY").ok();
-    let (delivery, warn_delivery) = parse_delivery(delivery_raw.as_deref());
-    if warn_threads.is_some() || warn_delivery.is_some() {
+fn env_threads() -> usize {
+    let raw = std::env::var("DECO_THREADS").ok();
+    let (threads, warning) = parse_threads(raw.as_deref());
+    if let Some(warning) = warning {
         static WARNED: std::sync::OnceLock<()> = std::sync::OnceLock::new();
-        WARNED.get_or_init(|| {
-            for warning in [warn_threads, warn_delivery].into_iter().flatten() {
-                eprintln!("deco-local: {warning}");
-            }
-        });
+        WARNED.get_or_init(|| eprintln!("deco-local: {warning}"));
     }
-    (threads.min(16), delivery)
+    threads.min(16)
 }
 
 /// Minimum number of active nodes per worker thread before a round is
@@ -461,26 +409,22 @@ impl<'g> Network<'g> {
     ///
     /// The worker-thread budget defaults to the `DECO_THREADS` environment
     /// variable if set (the CI thread matrix), else available parallelism
-    /// capped at 16; the delivery mode defaults to `DECO_DELIVERY`
-    /// (`scan` / `push` / `adaptive`) if set, else [`Delivery::Adaptive`].
-    /// Both variables are re-read on every construction, so they are a
-    /// *default*, not process-wide state: two `Network`s in one process may
-    /// run with different budgets (multi-tenant shards, the bench env
-    /// matrix), and [`Network::with_threads`] / [`Network::with_delivery`]
-    /// override the default per instance regardless of the environment.
+    /// capped at 16. The variable is re-read on every construction, so it
+    /// is a *default*, not process-wide state: two `Network`s in one
+    /// process may run with different budgets (multi-tenant shards), and
+    /// [`Network::with_threads`] overrides the default per instance
+    /// regardless of the environment.
     pub fn new(graph: &'g Graph) -> Network<'g> {
         let flat_neighbors: Vec<Vertex> =
             (0..graph.slot_count()).map(|s| graph.slot_neighbor(s)).collect();
         let flat_idents: Vec<u64> = flat_neighbors.iter().map(|&u| graph.ident(u)).collect();
-        let (threads, delivery) = env_defaults();
         Network {
             graph,
             flat_neighbors,
             flat_idents,
             round_cap: 1_000_000,
-            threads,
+            threads: env_threads(),
             engine: Engine::Slot,
-            delivery,
             early_halt: true,
             transport: Arc::new(InProcess),
             probe: deco_probe::null(),
@@ -519,7 +463,7 @@ impl<'g> Network<'g> {
     /// slot engine through its fault-tolerant path — sequential stepping,
     /// scan delivery, take-semantics fetches — so faulty runs are
     /// bit-deterministic for a fixed transport, independent of the thread
-    /// budget and `DECO_THREADS`/`DECO_DELIVERY`. With the default perfect
+    /// budget and `DECO_THREADS`. With the default perfect
     /// transport the engine is bit-identical to what it was before the
     /// transport seam existed.
     pub fn with_transport(mut self, transport: Arc<dyn Transport>) -> Network<'g> {
@@ -546,14 +490,6 @@ impl<'g> Network<'g> {
     /// compare whole pipelines across engines.
     pub fn with_engine(mut self, engine: Engine) -> Network<'g> {
         self.engine = engine;
-        self
-    }
-
-    /// Selects the slot engine's delivery mode (default:
-    /// [`Delivery::Adaptive`], or the `DECO_DELIVERY` environment variable).
-    /// Results are identical in every mode; only wall-clock differs.
-    pub fn with_delivery(mut self, delivery: Delivery) -> Network<'g> {
-        self.delivery = delivery;
         self
     }
 
@@ -630,9 +566,9 @@ impl<'g> Network<'g> {
     /// contiguous vertex ranges, and each worker reads the previous round's
     /// arena (shared) while writing its own nodes' out-slots (exclusive,
     /// disjoint slices) — no locks, no unsafe, no nondeterminism. Outputs,
-    /// stats and profile are bit-identical for every thread budget, every
-    /// [`Delivery`] mode and both [`Engine`]s; only wall-clock and the trace
-    /// change.
+    /// stats and profile are bit-identical for every thread budget, either
+    /// per-round delivery path and both [`Engine`]s; only wall-clock and
+    /// the trace change.
     ///
     /// # Panics
     ///
@@ -684,8 +620,8 @@ impl<'g> Network<'g> {
 /// The slot-arena delivery engine. See the module docs for the design.
 mod engine {
     use super::{
-        Action, Delivery, DeliveryChoice, Fate, Message, Network, NodeCtx, Protocol, RoundLoad,
-        RoundTrace, Run, RunError, RunStats, Vertex, PUSH_COST_FACTOR,
+        Action, DeliveryChoice, Fate, Message, Network, NodeCtx, Protocol, RoundLoad, RoundTrace,
+        Run, RunError, RunStats, Vertex, PUSH_COST_FACTOR,
     };
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
@@ -1163,18 +1099,6 @@ mod engine {
         }
     }
 
-    /// The per-round budget of push-list entries for `live_slots` live
-    /// in-slots: a round whose sent count exceeds it cannot qualify for push
-    /// delivery, so recording past it is pointless ([`Delivery::Push`]
-    /// records unconditionally, [`Delivery::Scan`] never).
-    fn push_cap(delivery: Delivery, live_slots: usize) -> usize {
-        match delivery {
-            Delivery::Scan => 0,
-            Delivery::Push => usize::MAX,
-            Delivery::Adaptive => live_slots / PUSH_COST_FACTOR,
-        }
-    }
-
     /// Digit width of the push-list radix sort.
     const RADIX_BITS: u32 = 11;
 
@@ -1242,8 +1166,15 @@ mod engine {
         let mirror = net.graph.mirror_slots();
         let slot_count = net.graph.slot_count();
         let faulty = !net.transport.is_perfect();
-        let threads = if faulty { 1 } else { net.threads };
-        let delivery = if faulty { Delivery::Scan } else { net.delivery };
+        // No round steps more than `n / MIN_ACTIVE_PER_THREAD` workers, so a
+        // larger budget would only allocate scratches that never run.
+        let most = (n / super::MIN_ACTIVE_PER_THREAD).max(1);
+        let threads = if faulty { 1 } else { net.threads.min(most) };
+        // The per-round budget of push-list entries for `live_slots` live
+        // in-slots: a round whose sent count exceeds it cannot qualify for
+        // push delivery, so recording past it is pointless. Faulty runs
+        // always scan, so they record nothing.
+        let push_cap = |live_slots: usize| if faulty { 0 } else { live_slots / PUSH_COST_FACTOR };
 
         let mut halt_round: Vec<usize> = vec![LIVE; n];
         let mut active: Vec<Vertex> = (0..n).collect();
@@ -1256,8 +1187,7 @@ mod engine {
         // exactly how many of the vertex's slots in that arena are `Some`.
         let mut occ_prev: Vec<u32> = vec![0; n];
         let mut occ_cur: Vec<u32> = vec![0; n];
-        let mut scratches: Vec<Scratch<P::Msg>> =
-            (0..threads.max(1)).map(|_| Scratch::new()).collect();
+        let mut scratches: Vec<Scratch<P::Msg>> = (0..threads).map(|_| Scratch::new()).collect();
         // Reusable merge + radix-scratch buffers for the sorted push list.
         let mut push_list: Vec<u64> = Vec::new();
         let mut push_scratch: Vec<u64> = Vec::new();
@@ -1273,7 +1203,7 @@ mod engine {
         let mut nodes: Vec<P> = Vec::with_capacity(n);
         {
             let sh = Shared { net, offsets, mirror, halt_round: &halt_round, faulty };
-            scratches[0].reset_round(push_cap(delivery, live_slots));
+            scratches[0].reset_round(push_cap(live_slots));
             for (v, occ) in occ_cur.iter_mut().enumerate() {
                 let ctx = net.ctx_for(v, 0);
                 let mut p = make(&ctx);
@@ -1294,7 +1224,7 @@ mod engine {
             pending.push(Reverse(Pending { arrival, seq: pending_seq, slot, from, msg }));
             pending_seq += 1;
         }
-        let mut recorded_prev = push_cap(delivery, live_slots) > 0;
+        let mut recorded_prev = push_cap(live_slots) > 0;
 
         let mut round = 0usize;
         while !active.is_empty() {
@@ -1337,15 +1267,10 @@ mod engine {
             // sent count. Push needs last round's records: a worker that
             // overflowed its recording cap proves the round was too dense
             // (the arithmetic check then also fails), and a round after a
-            // dense round skipped recording entirely (hysteresis below).
+            // dense round, like every round of a faulty run, skipped
+            // recording entirely (hysteresis below).
             let sparse = sent_prev_msgs * PUSH_COST_FACTOR < live_slots;
-            let use_push = match delivery {
-                Delivery::Scan => false,
-                Delivery::Push => true,
-                Delivery::Adaptive => {
-                    sparse && recorded_prev && !scratches.iter().any(|s| s.push_overflow)
-                }
-            };
+            let use_push = sparse && recorded_prev && !scratches.iter().any(|s| s.push_overflow);
             let push = if use_push {
                 push_list.clear();
                 for s in scratches.iter() {
@@ -1363,8 +1288,7 @@ mod engine {
             // round, so its successor skips recording — dense phases pay
             // nothing for the adaptive machinery; at a dense→sparse phase
             // boundary one round scans before push kicks in.
-            let cap = if sparse { push_cap(delivery, live_slots) } else { 0 };
-            let cap = if delivery == Delivery::Push { usize::MAX } else { cap };
+            let cap = if sparse { push_cap(live_slots) } else { 0 };
             recorded_prev = cap > 0;
             for s in scratches.iter_mut() {
                 s.reset_round(cap);
@@ -1905,18 +1829,6 @@ mod tests {
         assert!(run.outputs[1..].iter().all(|&c| c == 1));
     }
 
-    #[test]
-    fn delivery_modes_bit_identical() {
-        // StaggerHalt exercises halts mid-run (push entries addressed to
-        // halted receivers must be dropped) on top of dense broadcasts.
-        let g = generators::random_graph(500, 1800, 21);
-        let scan = Network::new(&g).with_delivery(Delivery::Scan).run(|_| StaggerHalt);
-        for mode in [Delivery::Push, Delivery::Adaptive] {
-            let other = Network::new(&g).with_delivery(mode).run(|_| StaggerHalt);
-            assert_same(&scan, &other, &format!("{mode:?}"));
-        }
-    }
-
     /// Mostly-quiet traffic: only vertex 0 speaks after the first round —
     /// the sparse-tail shape adaptive delivery exists for.
     struct SparseTail {
@@ -1951,7 +1863,7 @@ mod tests {
     fn adaptive_chooses_push_on_sparse_rounds_and_scan_on_dense() {
         let g = generators::random_bounded_degree(300, 6, 77);
         let mk = |_: &NodeCtx<'_>| SparseTail { rounds: 6, heard: 0 };
-        let trace = Network::new(&g).with_delivery(Delivery::Adaptive).run(mk).trace;
+        let trace = Network::new(&g).run(mk).trace;
         // Round 1 delivers the dense start broadcasts -> scan; the tail
         // rounds carry <= deg(0) messages -> push.
         assert_eq!(trace[0].delivery, DeliveryChoice::Scan);
@@ -1959,12 +1871,6 @@ mod tests {
             trace[2..].iter().all(|t| t.delivery == DeliveryChoice::Push),
             "sparse tail must use push delivery: {trace:?}"
         );
-        // Pinned modes trace as themselves and agree bit-for-bit.
-        let scan = Network::new(&g).with_delivery(Delivery::Scan).run(mk);
-        let push = Network::new(&g).with_delivery(Delivery::Push).run(mk);
-        assert!(scan.trace.iter().all(|t| t.delivery == DeliveryChoice::Scan));
-        assert!(push.trace.iter().all(|t| t.delivery == DeliveryChoice::Push));
-        assert_same(&scan, &push, "scan vs push");
     }
 
     #[test]
@@ -1976,8 +1882,9 @@ mod tests {
         assert!(run.trace.is_empty());
     }
 
-    /// Staggered halts with a bounded horizon: big enough graphs stay
-    /// parallel-stepped, every round still mixes halts into the push list.
+    /// Staggered halts with a bounded horizon, each with a final broadcast:
+    /// big enough graphs stay parallel-stepped, so halted senders' stale
+    /// slots sit across chunk boundaries.
     struct ModHalt;
     impl Protocol for ModHalt {
         type Msg = u64;
@@ -2001,13 +1908,11 @@ mod tests {
     #[test]
     fn threaded_push_delivery_matches_sequential() {
         let g = generators::random_graph(4000, 9000, 5);
-        for mode in [Delivery::Push, Delivery::Adaptive] {
-            let mk = |_: &NodeCtx<'_>| ModHalt;
-            let seq = Network::new(&g).with_delivery(mode).with_threads(1).run(mk);
-            for threads in [2usize, 8] {
-                let par = Network::new(&g).with_delivery(mode).with_threads(threads).run(mk);
-                assert_same(&seq, &par, &format!("{mode:?} threads={threads}"));
-            }
+        let mk = |_: &NodeCtx<'_>| ModHalt;
+        let seq = Network::new(&g).with_threads(1).run(mk);
+        for threads in [2usize, 8] {
+            let par = Network::new(&g).with_threads(threads).run(mk);
+            assert_same(&seq, &par, &format!("threads={threads}"));
         }
     }
 
@@ -2058,32 +1963,6 @@ mod tests {
             assert!(t >= 1, "fallback must be usable for {bad:?}");
             assert!(warn.expect("malformed value must warn").contains("DECO_THREADS"));
         }
-        assert_eq!(parse_delivery(None), (Delivery::Adaptive, None));
-        assert_eq!(parse_delivery(Some("scan")), (Delivery::Scan, None));
-        assert_eq!(parse_delivery(Some("push")), (Delivery::Push, None));
-        assert_eq!(parse_delivery(Some("adaptive")), (Delivery::Adaptive, None));
-        let (d, warn) = parse_delivery(Some("teleport"));
-        assert_eq!(d, Delivery::Adaptive);
-        assert!(warn.expect("malformed value must warn").contains("DECO_DELIVERY"));
-    }
-
-    /// The env defaults are re-read on every construction — a process that
-    /// flips `DECO_DELIVERY` between runs (the bench env matrix, tenants
-    /// with different settings) must see the change, not the value frozen
-    /// by the first `Network` ever built. Only the delivery mode is probed
-    /// here: the determinism contract makes a concurrently-built network
-    /// in another test produce identical results either way, so the brief
-    /// env mutation cannot flake the suite.
-    #[test]
-    fn env_defaults_are_read_per_construction() {
-        let g = generators::path(3);
-        std::env::set_var("DECO_DELIVERY", "push");
-        let first = Network::new(&g).delivery;
-        std::env::set_var("DECO_DELIVERY", "scan");
-        let second = Network::new(&g).delivery;
-        std::env::remove_var("DECO_DELIVERY");
-        assert_eq!(first, Delivery::Push);
-        assert_eq!(second, Delivery::Scan, "env default froze at first construction");
     }
 
     #[test]
@@ -2116,13 +1995,12 @@ mod tests {
         let zero =
             Network::new(&g).with_transport(Arc::new(FaultyTransport::new(7))).run(|_| StaggerHalt);
         assert_same(&perfect, &zero, "zero-rate transport");
-        // Thread and delivery knobs cannot perturb a faulty run.
-        let knobs = Network::new(&g)
+        // A thread budget cannot perturb a faulty run.
+        let threaded = Network::new(&g)
             .with_transport(Arc::new(FaultyTransport::new(7)))
             .with_threads(8)
-            .with_delivery(Delivery::Push)
             .run(|_| StaggerHalt);
-        assert_same(&perfect, &knobs, "knobs");
+        assert_same(&perfect, &threaded, "threads=8");
     }
 
     #[test]

@@ -43,8 +43,8 @@
 //! Because every non-perfect transport forces the engine onto a sequential,
 //! scan-delivery, take-semantics path (see the `network` module), faulty
 //! runs remain bit-deterministic: same graph + protocol + transport seed ⇒
-//! identical outputs, stats and profiles, regardless of `DECO_THREADS` or
-//! `DECO_DELIVERY`.
+//! identical outputs, stats and profiles, regardless of the thread budget
+//! (`DECO_THREADS`).
 
 /// What a [`Transport`] does with one posted message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -19,16 +19,17 @@
 //!
 //! Everything a probe records is **bit-deterministic**: for a fixed
 //! scenario (graph, trace, seed, parameters) the sequence of deterministic
-//! events is byte-identical across `DECO_THREADS`, `DECO_DELIVERY`, both
-//! delivery engines and both commit paths — the same contract the bench
-//! gate enforces on counters, extended to the whole event stream. Machine-
-//! and configuration-dependent facts (wall clock, worker counts, per-round
-//! delivery choices, spill-arena occupancy) are carried exclusively by
-//! [`Event::Env`] entries, which [`Event::is_deterministic`] excludes —
-//! the same policy as the bench gate's non-fatal `environment` blocks.
+//! events is byte-identical across `DECO_THREADS`, both delivery engines,
+//! their per-round delivery choices and both commit paths — the same
+//! contract the bench gate enforces on counters, extended to the whole
+//! event stream. Machine- and configuration-dependent facts (wall clock,
+//! worker counts, per-round delivery choices, spill-arena occupancy) are
+//! carried exclusively by [`Event::Env`] entries, which
+//! [`Event::is_deterministic`] excludes — the same policy as the bench
+//! gate's non-fatal `environment` blocks.
 //! [`RecordingProbe::digest`] hashes exactly the deterministic subsequence,
 //! so a recorded profile can be pinned as a single value and diffed across
-//! thread counts and delivery modes.
+//! thread counts.
 //!
 //! [`report::Report`] rolls a recorded (or re-parsed) event stream into a
 //! per-phase cost breakdown; [`registry::Registry`] is the underlying

@@ -8,7 +8,7 @@
 //! `report` renders the per-phase cost breakdown to stdout and optionally
 //! writes the bench-gate-compatible JSON document; `digest` prints the
 //! FNV-1a fingerprint of the deterministic event subsequence (byte-equal
-//! across `DECO_THREADS` / `DECO_DELIVERY` for the same scenario, so two
+//! across `DECO_THREADS` for the same scenario, so two
 //! profiles can be compared with `cmp`-level confidence without diffing).
 
 use std::process::ExitCode;

@@ -24,10 +24,10 @@ use crate::{Fnv, ParseError};
 /// # Determinism contract
 ///
 /// Emitters may only put machine- or configuration-dependent data (wall
-/// clock, thread/worker counts, chosen delivery modes, allocator
+/// clock, thread/worker counts, per-round delivery choices, allocator
 /// occupancy) into [`Event::Env`] entries. Every other event must be
-/// byte-identical for a fixed scenario regardless of `DECO_THREADS`,
-/// `DECO_DELIVERY`, the engine, or the commit path — the bench gate's
+/// byte-identical for a fixed scenario regardless of `DECO_THREADS`, the
+/// engine, or the commit path — the bench gate's
 /// counters-over-wall policy extended to the event stream. Sinks must be
 /// `Send + Sync` because parallel runners may emit from worker threads
 /// (today all emission happens post-run on the driving thread, which is
@@ -97,7 +97,7 @@ impl RecordingProbe {
     /// FNV-1a fingerprint of the deterministic subsequence: each event with
     /// [`Event::is_deterministic`] contributes its JSONL line plus a
     /// newline. [`Event::Env`] entries are skipped entirely, so digests
-    /// compare equal across thread counts and delivery modes — this is the
+    /// compare equal across thread counts and delivery choices — this is the
     /// value the determinism matrix and `BENCH_gate.json` pin.
     pub fn digest(&self) -> u64 {
         // INVARIANT: a poisoned lock means another thread panicked while holding it; propagating that panic is the intended failure mode.

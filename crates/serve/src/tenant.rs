@@ -42,7 +42,7 @@ pub struct TenantSpec {
     /// Commit representation.
     pub engine: EngineKind,
     /// Per-instance engine knobs (threshold, compaction, transport,
-    /// probe, threads, delivery, ...).
+    /// probe, threads, ...).
     pub config: RecolorConfig,
 }
 

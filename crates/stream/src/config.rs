@@ -2,14 +2,13 @@
 //!
 //! [`RecolorConfig`] gathers every knob the recoloring engine accepts —
 //! repair threshold, compaction cadence, early halting, transport, retry
-//! budget, probe, and the simulator's thread/delivery settings — into one
-//! value owned by the engine instance. The thread/delivery pair is not
-//! process-global: `deco-serve` registers thousands of engines in one
-//! process, each with its own config, so the `DECO_THREADS` /
-//! `DECO_DELIVERY` environment read is merely the *default* for the unset
-//! fields.
+//! budget, probe, and the simulator's thread budget — into one value owned
+//! by the engine instance. The thread budget is not process-global:
+//! `deco-serve` registers thousands of engines in one process, each with
+//! its own config, so the `DECO_THREADS` environment read is merely the
+//! *default* for the unset field.
 
-use deco_local::{Delivery, InProcess, Transport};
+use deco_local::{InProcess, Transport};
 use deco_probe::Probe;
 use std::sync::Arc;
 
@@ -20,7 +19,7 @@ use std::sync::Arc;
 ///
 /// None of the fields participate in the determinism contract except
 /// through their documented semantics: colorings and [`CommitReport`]s are
-/// bit-identical at any `threads` / `delivery` setting and with any probe,
+/// bit-identical at any `threads` setting and with any probe,
 /// while `threshold_pct`, `compaction_every`, `transport` and
 /// `max_attempts` legitimately select *which* deterministic outcome runs.
 ///
@@ -46,9 +45,6 @@ pub struct RecolorConfig {
     /// defers to the process default (`DECO_THREADS` or available
     /// parallelism).
     pub(crate) threads: Option<usize>,
-    /// Delivery mode for every network the engine builds; `None` defers to
-    /// the process default (`DECO_DELIVERY` or adaptive).
-    pub(crate) delivery: Option<Delivery>,
 }
 
 impl Default for RecolorConfig {
@@ -61,7 +57,6 @@ impl Default for RecolorConfig {
             max_attempts: 5,
             probe: deco_probe::null(),
             threads: None,
-            delivery: None,
         }
     }
 }
@@ -139,15 +134,6 @@ impl RecolorConfig {
         self
     }
 
-    /// Pins the delivery mode of every network this engine builds. Unset,
-    /// the process default applies — `DECO_DELIVERY` or
-    /// [`Delivery::Adaptive`], re-read per network. Results are identical
-    /// in every mode; only wall-clock differs.
-    pub fn with_delivery(mut self, delivery: Delivery) -> RecolorConfig {
-        self.delivery = Some(delivery);
-        self
-    }
-
     /// The repair-region density threshold in percent of `m`.
     pub fn threshold_pct(&self) -> u32 {
         self.threshold_pct
@@ -181,10 +167,5 @@ impl RecolorConfig {
     /// The pinned worker-thread budget, if any.
     pub fn threads(&self) -> Option<usize> {
         self.threads
-    }
-
-    /// The pinned delivery mode, if any.
-    pub fn delivery(&self) -> Option<Delivery> {
-        self.delivery
     }
 }

@@ -31,7 +31,7 @@ use std::sync::Arc;
 /// [`commit`](RegionRecolor::commit) /
 /// [`request_compaction`](RegionRecolor::request_compaction) calls
 /// produces **bit-identical** [`CommitReport`]s, colorings and snapshots —
-/// at any thread count, any delivery mode, and regardless of what else
+/// at any thread count, and regardless of what else
 /// runs in the process. Across the two shipped stores the contract is
 /// the parity contract of the [`RecolorEngine`] module docs: identical
 /// reports up to `stats.commit_bytes` (the quantity the segmented store

@@ -362,7 +362,7 @@ pub trait RegionHost {
     /// of threshold fallbacks, compactions and exhausted fault-era
     /// retries. The pipeline's phase spans and round samples are emitted
     /// into the config's probe; the config also supplies the early-halt
-    /// flag and any pinned threads/delivery (its transport is ignored —
+    /// flag and any pinned thread budget (its transport is ignored —
     /// the reset path models a centralized rebuild).
     fn full_recolor_into(
         &self,

@@ -34,8 +34,8 @@
 //! store — the surface `deco-serve` hosts thousands of tenants behind.
 //!
 //! Determinism: same trace + parameters ⇒ bit-identical colorings and
-//! [`CommitReport`]s at any `DECO_THREADS` / `DECO_DELIVERY` setting (see
-//! the [`RegionRecolor`] contract).
+//! [`CommitReport`]s at any `DECO_THREADS` setting (see the
+//! [`RegionRecolor`] contract).
 //!
 //! Fault tolerance: [`RecolorConfig::with_transport`] runs the repair
 //! sub-networks over a pluggable [`Transport`] (e.g. the deterministic
@@ -64,7 +64,6 @@ pub use replay::{
     replay_trace, replay_trace_on, replay_trace_probed, ReplayError, ReplayOutcome, ReplayRun,
 };
 
-// The configuration vocabulary ([`RecolorConfig::with_transport`] /
-// [`RecolorConfig::with_delivery`]), re-exported so engine users need no
-// direct `deco_local` dependency.
-pub use deco_local::{Delivery, Fate, FaultyTransport, InProcess, RunError, Transport};
+// The configuration vocabulary ([`RecolorConfig::with_transport`]),
+// re-exported so engine users need no direct `deco_local` dependency.
+pub use deco_local::{Fate, FaultyTransport, InProcess, RunError, Transport};

@@ -49,7 +49,7 @@
 //!
 //! Everything above is a deterministic function of the committed topology:
 //! same trace + seed ⇒ bit-identical colorings, [`CommitReport`]s and
-//! [`RunStats`] at any thread count, any delivery mode and either store —
+//! [`RunStats`] at any thread count and either store —
 //! the simulator's determinism contract extended end-to-end over mutation.
 //! Across stores the reports agree up to `stats.commit_bytes` (the quantity
 //! the segmented store improves) on a perfect transport; under a faulty one
@@ -178,7 +178,7 @@ pub struct RecolorEngine<S> {
     params: LegalParams,
     mode: MessageMode,
     /// Every per-instance knob — threshold, compaction cadence, early
-    /// halting, transport, retry budget, probe, threads/delivery. The
+    /// halting, transport, retry budget, probe, threads. The
     /// probe is shared with the store's commit machinery and every repair
     /// sub-network so commit decisions, phase spans and round samples land
     /// in one stream.
@@ -288,8 +288,8 @@ impl<S: Store> RecolorEngine<S> {
     /// `CommitExit` — plus the commit machinery's `CommitBytes` (emitted
     /// *before* the commit's `CommitEnter` because the graph layer runs
     /// first) and the repairs' phase spans and round samples, all in one
-    /// stream. Deterministic events are bit-identical across thread counts
-    /// and delivery modes; see the [`Probe`] determinism contract.
+    /// stream. Deterministic events are bit-identical across thread
+    /// counts; see the [`Probe`] determinism contract.
     pub fn set_probe(&mut self, probe: Arc<dyn Probe>) {
         self.store.set_probe(Arc::clone(&probe));
         self.cfg.probe = probe;
@@ -607,7 +607,7 @@ pub fn repair_phase(
 
 /// Builds a network over `g` with the instance's settings applied: early
 /// halting, the shared probe, and — when pinned in the config — the
-/// worker-thread budget and delivery mode. The transport is *not* applied
+/// worker-thread budget. The transport is *not* applied
 /// here; the resilient path adds it explicitly, and the from-scratch
 /// pipeline deliberately stays on the perfect in-process default.
 fn instance_net<'g>(g: &'g Graph, cfg: &RecolorConfig) -> Network<'g> {
@@ -615,9 +615,6 @@ fn instance_net<'g>(g: &'g Graph, cfg: &RecolorConfig) -> Network<'g> {
         Network::new(g).with_early_halt(cfg.early_halt).with_probe(Arc::clone(&cfg.probe));
     if let Some(threads) = cfg.threads {
         net = net.with_threads(threads);
-    }
-    if let Some(delivery) = cfg.delivery {
-        net = net.with_delivery(delivery);
     }
     net
 }
@@ -632,7 +629,7 @@ fn instance_net<'g>(g: &'g Graph, cfg: &RecolorConfig) -> Network<'g> {
 /// sized). Both hosts extract byte-identical region sub-networks, so the
 /// repair outcome is independent of the host representation. The config
 /// supplies the early-halt flag, the probe and any pinned
-/// threads/delivery; its transport and thresholds are the caller's
+/// thread budget; its transport and thresholds are the caller's
 /// business.
 fn repair_region<H: RegionHost>(
     g: &H,
@@ -732,7 +729,7 @@ fn fixed_masks<H: RegionHost>(
 /// of threshold fallbacks, compaction commits and exhausted fault-era
 /// retries. Always runs on the default in-process transport (it models a
 /// centralized rebuild), but honors the instance's early-halt, probe and
-/// pinned threads/delivery.
+/// pinned thread budget.
 pub(crate) fn full_recolor(
     g: &Graph,
     params: LegalParams,
@@ -758,7 +755,7 @@ pub(crate) fn full_recolor(
 /// degrades to the fault-free from-scratch pipeline, so the loop always
 /// terminates with a verified-legal coloring and never panics on transport
 /// faults. The config supplies the transport, the attempt budget, the
-/// early-halt flag, the probe and any pinned threads/delivery.
+/// early-halt flag, the probe and any pinned thread budget.
 fn resilient_repair<H: RegionHost>(
     g: &H,
     dirty: &[EdgeIdx],

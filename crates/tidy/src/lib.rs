@@ -1,7 +1,7 @@
 //! `deco-tidy` — workspace static analysis that machine-enforces the
 //! contracts the rest of the workspace only *states* in rustdoc: the
 //! determinism model (bit-identical colorings across engines × threads ×
-//! delivery × shards), the probe zero-cost contract, the unsafe audit,
+//! shards), the probe zero-cost contract, the unsafe audit,
 //! and a handful of hygiene rules. Zero external dependencies (the one
 //! dependency, the workspace's own dependency-free `deco-probe`, writes the
 //! `--json` report); the scanner is a hand-rolled line/token pass in the

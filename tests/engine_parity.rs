@@ -4,7 +4,7 @@
 //! `RunStats` and per-round `RoundLoad` profiles.
 
 use deco_graph::generators;
-use deco_local::{Action, Engine, Network, NodeCtx, Protocol, Run};
+use deco_local::{Action, DeliveryChoice, Engine, Network, NodeCtx, Protocol, RoundTrace, Run};
 
 /// A gossip protocol with data-dependent fan-out and staggered halting:
 /// every branch of the delivery machinery (broadcasts, selective sends,
@@ -60,7 +60,9 @@ fn run_all_engines(g: &deco_graph::Graph) -> Vec<(&'static str, Run<u64>)> {
         ("slot-seq", Network::new(g).with_threads(1).run(mk)),
         ("naive", Network::new(g).with_engine(Engine::Naive).run(mk)),
     ];
-    for threads in [2usize, 3, 8] {
+    // `usize::MAX` is a budget larger than any round can use: it must run
+    // like the others, with no scratch allocated for the surplus.
+    for threads in [2usize, 3, 8, usize::MAX] {
         runs.push(("slot-threaded", Network::new(g).with_threads(threads).run(mk)));
     }
     runs
@@ -116,16 +118,15 @@ fn delivered_never_exceeds_sent_with_mid_run_halts() {
     }
 }
 
-/// The PR 5 differential pin: early node halting in the Panconesi–Rizzi
-/// assignment phase must be **color- and message-identical** to the
-/// worst-case `2 + 6W` schedule — across every thread budget and delivery
-/// mode — with only round totals allowed to move (downward). This is the
-/// contract that lets the repair pipeline halt nodes at their own last
-/// `(forest, CV)` step without perturbing a single pinned coloring.
+/// Early node halting in the Panconesi–Rizzi assignment phase must be
+/// **color- and message-identical** to the worst-case `2 + 6W` schedule —
+/// across every thread budget — with only round totals allowed to move
+/// (downward). This is the contract that lets the repair pipeline halt
+/// nodes at their own last `(forest, CV)` step without perturbing a single
+/// pinned coloring.
 #[test]
-fn early_halting_bit_identical_across_thread_and_delivery_matrix() {
+fn early_halting_bit_identical_across_thread_budgets() {
     use deco_core::edge::legal::{edge_color_in_groups, edge_log_depth, MessageMode};
-    use deco_local::Delivery;
 
     let g = generators::random_bounded_degree(1500, 16, 0x5a11);
     let groups = vec![0u64; g.m()];
@@ -133,53 +134,44 @@ fn early_halting_bit_identical_across_thread_and_delivery_matrix() {
     let w0 = g.max_degree() as u64;
     let mut pinned: Option<(Vec<u64>, usize, usize, usize)> = None;
     for threads in [1usize, 2, 8] {
-        for delivery in [Delivery::Scan, Delivery::Push, Delivery::Adaptive] {
-            let run_with = |early: bool| {
-                let net = Network::new(&g)
-                    .with_threads(threads)
-                    .with_delivery(delivery)
-                    .with_early_halt(early);
-                edge_color_in_groups(&net, &groups, 1, params, w0, MessageMode::Long)
-                    .expect("preset params are valid")
-            };
-            let on = run_with(true);
-            let off = run_with(false);
-            let case = format!("threads={threads} delivery={delivery:?}");
-            assert_eq!(on.coloring, off.coloring, "{case}: colorings diverged");
-            assert_eq!(on.stats.messages, off.stats.messages, "{case}: messages diverged");
-            assert_eq!(
-                on.stats.total_message_bits, off.stats.total_message_bits,
-                "{case}: traffic diverged"
-            );
-            assert_eq!(
-                on.stats.max_message_bits, off.stats.max_message_bits,
-                "{case}: max message diverged"
-            );
-            // Rounds may tie when some node's last (forest, CV) step sits at
-            // the schedule's worst case; stepped node-rounds always shrink.
-            assert!(
-                on.stats.rounds <= off.stats.rounds,
-                "{case}: early halting must not lengthen the run ({} vs {})",
-                on.stats.rounds,
-                off.stats.rounds
-            );
-            assert!(
-                on.stats.node_rounds < off.stats.node_rounds,
-                "{case}: early halting must cut stepped node-rounds ({} vs {})",
-                on.stats.node_rounds,
-                off.stats.node_rounds
-            );
-            // Every matrix cell agrees with the first one, both modes.
-            let key = (
-                on.coloring.colors().to_vec(),
-                on.stats.messages,
-                on.stats.rounds,
-                off.stats.rounds,
-            );
-            match &pinned {
-                None => pinned = Some(key),
-                Some(p) => assert_eq!(*p, key, "{case}: matrix cell diverged"),
-            }
+        let run_with = |early: bool| {
+            let net = Network::new(&g).with_threads(threads).with_early_halt(early);
+            edge_color_in_groups(&net, &groups, 1, params, w0, MessageMode::Long)
+                .expect("preset params are valid")
+        };
+        let on = run_with(true);
+        let off = run_with(false);
+        let case = format!("threads={threads}");
+        assert_eq!(on.coloring, off.coloring, "{case}: colorings diverged");
+        assert_eq!(on.stats.messages, off.stats.messages, "{case}: messages diverged");
+        assert_eq!(
+            on.stats.total_message_bits, off.stats.total_message_bits,
+            "{case}: traffic diverged"
+        );
+        assert_eq!(
+            on.stats.max_message_bits, off.stats.max_message_bits,
+            "{case}: max message diverged"
+        );
+        // Rounds may tie when some node's last (forest, CV) step sits at
+        // the schedule's worst case; stepped node-rounds always shrink.
+        assert!(
+            on.stats.rounds <= off.stats.rounds,
+            "{case}: early halting must not lengthen the run ({} vs {})",
+            on.stats.rounds,
+            off.stats.rounds
+        );
+        assert!(
+            on.stats.node_rounds < off.stats.node_rounds,
+            "{case}: early halting must cut stepped node-rounds ({} vs {})",
+            on.stats.node_rounds,
+            off.stats.node_rounds
+        );
+        // Every thread budget agrees with the first one, both modes.
+        let key =
+            (on.coloring.colors().to_vec(), on.stats.messages, on.stats.rounds, off.stats.rounds);
+        match &pinned {
+            None => pinned = Some(key),
+            Some(p) => assert_eq!(*p, key, "{case}: diverged from threads=1"),
         }
     }
 }
@@ -234,4 +226,65 @@ fn threaded_runner_on_line_graph_workload() {
     assert_eq!(seq.outputs, par.outputs);
     assert_eq!(seq.stats, par.stats);
     assert_eq!(seq.profile, par.profile);
+}
+
+/// Sparse speakers over staggered halts: every 16th vertex broadcasts each
+/// round, to halted neighbors too, and vertex `v` halts in round
+/// `2 + v % 9`. The traffic is sparse enough for the slot engine to pick
+/// push delivery, and its push lists carry entries addressed to receivers
+/// that have already halted, which delivery must skip.
+struct SparseStagger {
+    acc: u64,
+}
+
+impl Protocol for SparseStagger {
+    type Msg = u64;
+    type Output = u64;
+
+    fn start(&mut self, ctx: &NodeCtx<'_>) -> Vec<(usize, u64)> {
+        self.acc = ctx.ident;
+        if ctx.vertex % 16 == 0 {
+            ctx.broadcast(self.acc)
+        } else {
+            Vec::new()
+        }
+    }
+
+    fn round(&mut self, ctx: &NodeCtx<'_>, inbox: &[(usize, u64)]) -> Action<u64> {
+        for &(s, m) in inbox {
+            self.acc = self.acc.rotate_left(5) ^ m.wrapping_add(s as u64);
+        }
+        if ctx.round >= 2 + ctx.vertex % 9 {
+            Action::halt()
+        } else if ctx.vertex % 16 == 0 {
+            Action::Broadcast(self.acc)
+        } else {
+            Action::idle()
+        }
+    }
+
+    fn finish(self, _ctx: &NodeCtx<'_>) -> u64 {
+        self.acc
+    }
+}
+
+#[test]
+fn push_delivery_skips_entries_for_halted_receivers() {
+    let g = generators::random_graph(2000, 8000, 21);
+    let mk = |_: &NodeCtx<'_>| SparseStagger { acc: 0 };
+    let naive = Network::new(&g).with_engine(Engine::Naive).run(mk);
+    for threads in [1usize, 2, 8] {
+        let run = Network::new(&g).with_threads(threads).run(mk);
+        let push = |t: &RoundTrace| t.delivery == DeliveryChoice::Push;
+        let push_rounds = run.trace.iter().filter(|t| push(t)).count();
+        assert!(push_rounds >= 3, "threads={threads}: {:?}", run.trace);
+        // Some push round dropped sends toward halted receivers.
+        assert!(
+            run.trace.iter().zip(&run.profile).any(|(t, l)| push(t) && l.dropped_messages() > 0),
+            "threads={threads}: no push round dropped a message"
+        );
+        assert_eq!(run.outputs, naive.outputs, "threads={threads}: outputs diverged");
+        assert_eq!(run.stats, naive.stats, "threads={threads}: stats diverged");
+        assert_eq!(run.profile, naive.profile, "threads={threads}: profile diverged");
+    }
 }

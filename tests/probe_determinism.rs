@@ -2,15 +2,14 @@
 //!
 //! Everything a [`Probe`](deco_probe::Probe) records except `Env` events
 //! is part of the workspace determinism contract: bit-identical across
-//! `DECO_THREADS`, `DECO_DELIVERY` and both engines. These tests pin a
-//! concrete event-stream digest for a seeded churn replay, so *any*
-//! thread- or delivery-dependent leak into the stream shows up as an
-//! explicit diff; CI replays this binary across the `DECO_THREADS`
-//! {1, 2, 8} × delivery matrix, and every leg must land on the same
-//! constant. The satellite contracts ride along: a `NullProbe` changes no
-//! observable output, and the `Round`/`Env(round_trace)` events are
-//! exactly the [`RoundLoad`]/[`RoundTrace`] profiles the simulator already
-//! returns.
+//! `DECO_THREADS` and both engines. These tests pin a concrete
+//! event-stream digest for a seeded churn replay, so *any* thread- or
+//! delivery-dependent leak into the stream shows up as an explicit diff;
+//! CI replays this binary across the `DECO_THREADS` {1, 2, 8} matrix, and
+//! every leg must land on the same constant. The satellite contracts ride
+//! along: a `NullProbe` changes no observable output, and the
+//! `Round`/`Env(round_trace)` events are exactly the
+//! [`RoundLoad`]/[`RoundTrace`] profiles the simulator already returns.
 
 use deco_core::edge::legal::{edge_log_depth, MessageMode};
 use deco_graph::trace::churn_trace;
@@ -34,10 +33,9 @@ fn event_stream_digest_is_pinned_across_the_matrix() {
     assert_eq!(out.reports.len(), 4);
     // The digest covers every deterministic event — phase spans, round
     // samples, commit decisions — and skips `Env` (wall clock, spill,
-    // round_trace mode labels). One constant for all nine
-    // threads × delivery legs. Re-pinned for silent Cole–Vishkin roots:
-    // the stream's phase and round events carry the round, node-round and
-    // message counts, which fell.
+    // round_trace mode labels). One constant for every thread budget.
+    // Re-pinned for silent Cole–Vishkin roots: the stream's phase and round
+    // events carry the round, node-round and message counts, which fell.
     assert_eq!(probe.digest(), 9_216_808_941_701_517_336);
 }
 

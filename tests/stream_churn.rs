@@ -4,9 +4,9 @@
 //!   repair-region sub-network: repaired-edge, region and message counts
 //!   are `O(affected)`, not `O(m)`.
 //! * **Bit-identity** — same trace + seed produces the same color history
-//!   under every `DECO_THREADS` / `DECO_DELIVERY` setting. The history
-//!   hash below is pinned to a constant, and CI runs this file across its
-//!   thread matrix, so any engine/thread divergence breaks the pin.
+//!   under every `DECO_THREADS` setting. The history hash below is pinned
+//!   to a constant, and CI runs this file across its thread matrix, so any
+//!   engine/thread divergence breaks the pin.
 //! * **Equivalence** — after every commit the incremental coloring is
 //!   proper and stays within the from-scratch pipeline's palette bound for
 //!   the same snapshot.
@@ -100,11 +100,11 @@ fn replay_matches_manual_engine_drive() {
 }
 
 /// The pinned trace of the determinism contract: colors of every commit,
-/// hashed. CI replays this under `DECO_THREADS` ∈ {1, 2, 8} and forced
-/// scan delivery; the constant must hold everywhere. The initial from-
-/// scratch commit runs on an n = 3000 graph, which crosses the parallel
-/// stepping threshold, so the thread matrix genuinely exercises chunked
-/// parallel rounds.
+/// hashed. CI replays this across the `DECO_THREADS` ∈ {1, 2, 8} matrix;
+/// the constant must hold everywhere. The initial from-scratch commit
+/// runs on an n = 3000 graph, which crosses the parallel stepping
+/// threshold, so the thread matrix genuinely exercises chunked parallel
+/// rounds.
 #[test]
 fn pinned_color_history_across_thread_counts() {
     let trace = churn_trace(3_000, 8, 3, 25, 0xD1CE);

@@ -1,7 +1,7 @@
-//! PR 2 differential tests: every migrated algorithm pipeline now runs on
-//! the threaded slot engine end to end, and must be **bit-identical** across
-//! thread budgets (1, 2, 8), across delivery modes (scan, push, adaptive)
-//! and against the naive reference engine. A pipeline here means the whole
+//! Differential tests: every algorithm pipeline runs on the threaded slot
+//! engine end to end, and must be **bit-identical** across thread budgets
+//! (1, 2, 8) and against the naive reference engine, which never takes the
+//! slot engine's push-list delivery path. A pipeline here means the whole
 //! driver — auxiliary colorings, recursion levels, bottom phases — not a
 //! single protocol run.
 
@@ -12,7 +12,7 @@ use deco_core::legal::legal_color;
 use deco_core::params::LegalParams;
 use deco_core::reduction::delta_plus_one_coloring;
 use deco_graph::{generators, Graph, Vertex};
-use deco_local::{Delivery, Engine, Network};
+use deco_local::{Engine, Network};
 
 /// One simulator configuration: a name and how to derive it from a fresh
 /// network.
@@ -21,15 +21,12 @@ type Config = (&'static str, Box<dyn Fn(Network<'_>) -> Network<'_>>);
 /// All simulator configurations every pipeline is differentially run under.
 /// `with_threads(1)` is the sequential baseline; 2 and 8 exercise chunked
 /// parallel stepping (the test graphs are big enough to cross the
-/// parallelism threshold); scan/push pin the delivery modes; naive is the
-/// pre-refactor reference engine.
+/// parallelism threshold); naive is the pre-refactor reference engine.
 fn configs() -> Vec<Config> {
     vec![
         ("threads-1", Box::new(|net: Network<'_>| net.with_threads(1))),
         ("threads-2", Box::new(|net: Network<'_>| net.with_threads(2))),
         ("threads-8", Box::new(|net: Network<'_>| net.with_threads(8))),
-        ("delivery-scan", Box::new(|net: Network<'_>| net.with_delivery(Delivery::Scan))),
-        ("delivery-push", Box::new(|net: Network<'_>| net.with_delivery(Delivery::Push))),
         ("engine-naive", Box::new(|net: Network<'_>| net.with_engine(Engine::Naive))),
     ]
 }
@@ -114,27 +111,4 @@ fn panconesi_rizzi_pipeline_differential() {
     let g = generators::random_bounded_degree(2000, 9, 0xcf04);
     let groups = vec![0u64; g.m()];
     assert_differential(&g, |net| pr_edge_color_in_groups(net, &groups, g.max_degree() as u64));
-}
-
-#[test]
-fn adaptive_matches_scan_on_every_pipeline() {
-    // The adaptive mode is the default; pin it against forced scan on the
-    // sparse-tail-heavy pipelines (PR and the edge driver have long quiet
-    // phases — exactly where adaptive switches to push delivery).
-    let params = edge_log_depth(1);
-    let g = generators::random_bounded_degree(1200, (params.lambda + 2) as usize, 0xcf05);
-    let groups = vec![0u64; g.m()];
-    let adaptive = {
-        let net = Network::new(&g).with_delivery(Delivery::Adaptive);
-        edge_color_in_groups(&net, &groups, 1, params, g.max_degree() as u64, MessageMode::Long)
-            .unwrap()
-    };
-    let scan = {
-        let net = Network::new(&g).with_delivery(Delivery::Scan);
-        edge_color_in_groups(&net, &groups, 1, params, g.max_degree() as u64, MessageMode::Long)
-            .unwrap()
-    };
-    assert_eq!(adaptive.coloring, scan.coloring);
-    assert_eq!(adaptive.stats, scan.stats);
-    assert_eq!(adaptive.levels, scan.levels);
 }
